@@ -16,10 +16,9 @@ use bonxai_gen::{random_suffix_bxsd, theorem8_xn, theorem9_bn, SchemaConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use relang::ops::{
-    dfa_to_regex_with_order, lazy_product, lazy_product_pruned, minimize, regex_to_dfa,
-    EliminationOrder,
+    dfa_to_regex_with_order, minimize, regex_to_dfa, AncestorSpace, EliminationOrder, Follow, Seed,
 };
-use relang::Dfa;
+use relang::{Dfa, Sym};
 
 fn main() {
     ablate_pruning();
@@ -41,13 +40,21 @@ fn ablate_pruning() {
             .collect();
         let refs: Vec<&Dfa> = components.iter().collect();
         let full_bound: usize = components.iter().map(Dfa::n_states).product();
-        let (unpruned, _) = timed(|| lazy_product(&refs).dfa.n_states());
+        let explore = |follow: Follow| {
+            AncestorSpace::explore(n_syms, &refs, &[Seed::Initial], follow, usize::MAX)
+                .expect("an unbudgeted exploration always finishes")
+                .n_states()
+        };
+        let (unpruned, _) = timed(|| explore(Follow::All));
         // the pruned product is what Algorithm 3 actually builds
         let (pruned, _) = timed(|| bxsd_to_dfa_xsd(&b).n_states() - 1);
         // reference: pruning that only allows symbols in content models is
         // implemented inside bxsd_to_dfa_xsd; here also show a trivial
         // "allow everything" pruned product to confirm it matches unpruned
-        let sanity = lazy_product_pruned(&refs, |_, _| true).dfa.n_states();
+        let mut every = |_: u32, _: Option<u32>, out: &mut Vec<Sym>| {
+            out.extend((0..n_syms as u32).map(Sym));
+        };
+        let sanity = explore(Follow::By(&mut every));
         assert_eq!(sanity, unpruned);
         rows.push(vec![
             format!("B_{n}"),

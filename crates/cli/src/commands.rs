@@ -3,6 +3,7 @@
 use std::fs;
 use std::process::ExitCode;
 
+use bonxai_core::lint::render::json_string;
 use bonxai_core::translate::{Path as TranslatePath, TranslateOptions};
 use bonxai_core::{dtd_import, pipeline, BonxaiSchema, CompiledBxsd, ValidateOptions};
 use xmltree::Document;
@@ -542,25 +543,6 @@ fn to_bxsd(schema: AnySchema, dtd_root: Option<&str>) -> Result<bonxai_core::Bxs
                 .bxsd
         }
     })
-}
-
-/// JSON string literal with the escapes RFC 8259 requires.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// The deterministic (timing-free) part of a diff report as JSON —

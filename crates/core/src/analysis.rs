@@ -50,10 +50,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use relang::cache::AutomataCache;
-use relang::ops::language::{difference_witness_dfa, regex_to_dfa};
-use relang::ops::minimize;
+use relang::ops::language::{difference_witness_dfa, regex_to_dfa, regex_to_dfa_with};
 use relang::ops::product::product2;
 use relang::ops::subset::SubsetInterner;
+use relang::ops::{minimize, AncestorSpace, Follow, RelevanceProduct, Seed};
 use relang::{Alphabet, Dfa, Regex, Sym};
 use xmltree::Document;
 use xsd::simple_types::{admits, canonical_value, value_space_witness, Facets};
@@ -61,10 +61,11 @@ use xsd::{AttributeUse, ContentModel, SimpleType};
 
 use crate::batch::map_indexed;
 use crate::bxsd::{Bxsd, Rule};
+use crate::lint::checks::render_children;
 use crate::validate::{CompiledBxsd, ValidateOptions};
 
-/// Sentinel for "no context": a child symbol the exploration never took.
-const NO_CTX: u32 = u32::MAX;
+/// Sentinel for "no pair": the discovery predecessor of a root pair.
+const NO_PAIR: u32 = u32::MAX;
 
 /// Tuning knobs for the whole-schema analyses.
 #[derive(Clone, Debug)]
@@ -287,24 +288,41 @@ pub struct SatReport {
 // Cache plumbing
 // ---------------------------------------------------------------------
 
-/// Automata construction through an optional shared [`AutomataCache`] —
-/// the same dispatch the lint checks use.
-struct Automata<'a> {
-    cache: Option<&'a mut AutomataCache>,
+/// Automata construction through an optional shared [`AutomataCache`],
+/// for the analyses here and the lint checks. With a cache every
+/// construction is memoized (within one run and across the caller's
+/// other compile stages); without one each request computes fresh —
+/// the honest ablation path for `--no-cache`.
+pub(crate) struct Automata<'a> {
+    pub(crate) cache: Option<&'a mut AutomataCache>,
 }
 
 impl Automata<'_> {
-    fn raw_dfa(&mut self, r: &Regex, n_syms: usize) -> Arc<Dfa> {
-        match self.cache.as_deref_mut() {
-            Some(c) => c.raw_dfa(r, n_syms),
-            None => Arc::new(regex_to_dfa(r, n_syms)),
-        }
+    pub(crate) fn raw_dfa(&mut self, r: &Regex, n_syms: usize) -> Arc<Dfa> {
+        regex_to_dfa_with(r, n_syms, self.cache.as_deref_mut())
     }
 
-    fn min_dfa(&mut self, r: &Regex, n_syms: usize) -> Arc<Dfa> {
+    pub(crate) fn min_dfa(&mut self, r: &Regex, n_syms: usize) -> Arc<Dfa> {
         match self.cache.as_deref_mut() {
             Some(c) => c.min_dfa(r, n_syms),
             None => Arc::new(minimize(&regex_to_dfa(r, n_syms))),
+        }
+    }
+
+    /// The relevance product over the raw ancestor DFAs, as the
+    /// validator builds it.
+    pub(crate) fn relevance_product(
+        &mut self,
+        n_syms: usize,
+        ancestors: &[Regex],
+        budget: usize,
+    ) -> Option<Arc<RelevanceProduct>> {
+        match self.cache.as_deref_mut() {
+            Some(c) => c.relevance_product(n_syms, ancestors, budget),
+            None => {
+                let dfas: Vec<Dfa> = ancestors.iter().map(|r| regex_to_dfa(r, n_syms)).collect();
+                RelevanceProduct::build(n_syms, &dfas, budget).map(Arc::new)
+            }
         }
     }
 }
@@ -428,39 +446,39 @@ fn star_dfa(n_syms: usize, allowed: &[Sym]) -> Dfa {
 // The context space of one schema
 // ---------------------------------------------------------------------
 
-/// One ancestor context: a tuple of per-rule ancestor-DFA states,
-/// reached by some optimistically-realizable path.
-struct Ctx {
-    /// The relevant rule at this context (`None` = unconstrained node).
-    rule: Option<usize>,
-    /// Successor context per shared symbol ([`NO_CTX`] = not explored:
-    /// the relevant rule's content model never emits that child).
-    succ: Vec<u32>,
-    /// Predecessor context + the symbol taken — ([`NO_CTX`], root
-    /// symbol) for root contexts. First discovery wins, so the implied
-    /// path is the length-lexicographically least.
-    pred: (u32, Sym),
-    /// Whether a finite conforming subtree exists at this context.
-    comp: bool,
-    /// Fixpoint round at which completability was established (bounds
-    /// the minimal subtree height; `u32::MAX` when uncompletable).
-    round: u32,
-}
+/// Fixpoint round of a context no finite conforming subtree exists at.
+const UNCOMPLETABLE: u32 = u32::MAX;
 
 /// The explored ancestor-context space of one schema over a (possibly
 /// shared) alphabet, with completability annotations.
 pub(crate) struct SchemaSpace {
-    n_syms: usize,
-    /// `(root symbol, context after it)`, in ascending symbol order.
+    /// The contexts: tuples of per-rule ancestor-DFA states reached by
+    /// some optimistically-realizable path, each expanded only along the
+    /// child symbols its relevant rule's content model emits.
+    space: AncestorSpace,
+    /// `(root symbol, context after it)`, in the schema's root order.
     roots: Vec<(Sym, u32)>,
     rules: Vec<RuleInfo>,
     /// Pseudo-rule for unconstrained nodes: children `(own alphabet)*`,
     /// any text, any attributes.
     unconstrained: RuleInfo,
-    ctxs: Vec<Ctx>,
+    /// Per context: the fixpoint round at which completability was
+    /// established (bounds the minimal subtree height), or
+    /// [`UNCOMPLETABLE`].
+    round: Vec<u32>,
 }
 
 impl SchemaSpace {
+    /// The context space of one schema over its own alphabet.
+    pub(crate) fn of(
+        bxsd: &Bxsd,
+        budget: usize,
+        auto: &mut Automata,
+    ) -> Result<SchemaSpace, AnalysisError> {
+        let own: Vec<Sym> = bxsd.ename.symbols().collect();
+        SchemaSpace::build(bxsd, bxsd.ename.len(), own, budget, auto)
+    }
+
     /// Explores the schema's ancestor contexts exactly the way a
     /// document grows and runs the completability fixpoint. `own_syms`
     /// is the subset of the alphabet the schema itself declares (its
@@ -473,7 +491,6 @@ impl SchemaSpace {
         budget: usize,
         auto: &mut Automata,
     ) -> Result<SchemaSpace, AnalysisError> {
-        let n_rules = bxsd.rules.len();
         let anc: Vec<Arc<Dfa>> = bxsd
             .rules
             .iter()
@@ -493,98 +510,71 @@ impl SchemaSpace {
         }
         let unconstrained = RuleInfo {
             children: Arc::new(star_dfa(n_syms, &own_syms)),
-            child_syms: own_syms.clone(),
+            child_syms: own_syms,
             text: TextSpec::Any,
             attrs: AttrSpec::Open,
             local_ok: true,
         };
 
-        let mut interner = SubsetInterner::with_capacity(64);
-        let mut ctxs: Vec<Ctx> = Vec::new();
-        let mut queue: VecDeque<u32> = VecDeque::new();
-        let mut roots: Vec<(Sym, u32)> = Vec::new();
-        let root_tuple: Vec<u32> = anc.iter().map(|d| d.initial() as u32).collect();
-        let step = |from: &[u32], sym: Sym, into: &mut Vec<u32>| {
-            into.clear();
-            for (&q, d) in from.iter().zip(&anc) {
-                let t = d
-                    .transition(q as usize, sym)
-                    .expect("minimal ancestor DFA is total");
-                into.push(t as u32);
-            }
+        let refs: Vec<&Dfa> = anc.iter().map(Arc::as_ref).collect();
+        let seeds: Vec<Seed> = bxsd.start.iter().map(|&s| Seed::Step(s)).collect();
+        let mut children = |_: u32, rule: Option<u32>, out: &mut Vec<Sym>| {
+            let info = rule.map_or(&unconstrained, |i| &rules[i as usize]);
+            out.extend_from_slice(&info.child_syms);
         };
-        let mut succ_tuple: Vec<u32> = Vec::with_capacity(n_rules);
-        for &s in &bxsd.start {
-            step(&root_tuple, s, &mut succ_tuple);
-            let before = interner.len();
-            let id = interner.intern(&succ_tuple);
-            if id as usize == before {
-                ctxs.push(Ctx {
-                    rule: None,
-                    succ: Vec::new(),
-                    pred: (NO_CTX, s),
-                    comp: false,
-                    round: u32::MAX,
-                });
-                queue.push_back(id);
-            }
-            roots.push((s, id));
-        }
-        let mut cur: Vec<u32> = Vec::with_capacity(n_rules);
-        while let Some(id) = queue.pop_front() {
-            if interner.len() > budget {
-                return Err(AnalysisError::Budget {
+        let space =
+            AncestorSpace::explore(n_syms, &refs, &seeds, Follow::By(&mut children), budget)
+                .ok_or(AnalysisError::Budget {
                     what: "context",
                     budget,
-                });
-            }
-            cur.clear();
-            cur.extend_from_slice(interner.get(id as usize));
-            // Largest matching rule index = the relevant rule.
-            let relevant = (0..n_rules)
-                .rev()
-                .find(|&i| anc[i].is_final(cur[i] as usize));
-            let child_syms = match relevant {
-                Some(i) => &rules[i].child_syms,
-                None => &unconstrained.child_syms,
-            };
-            let mut succ = vec![NO_CTX; n_syms];
-            for &s in child_syms {
-                step(&cur, s, &mut succ_tuple);
-                let before = interner.len();
-                let next = interner.intern(&succ_tuple);
-                if next as usize == before {
-                    ctxs.push(Ctx {
-                        rule: None,
-                        succ: Vec::new(),
-                        pred: (id, s),
-                        comp: false,
-                        round: u32::MAX,
-                    });
-                    queue.push_back(next);
-                }
-                succ[s.index()] = next;
-            }
-            ctxs[id as usize].rule = relevant;
-            ctxs[id as usize].succ = succ;
-        }
+                })?;
+        let roots = bxsd
+            .start
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| (s, space.seed(i)))
+            .collect();
 
         let mut space = SchemaSpace {
-            n_syms,
+            round: vec![UNCOMPLETABLE; space.n_states()],
+            space,
             roots,
             rules,
             unconstrained,
-            ctxs,
         };
         space.completability();
         Ok(space)
     }
 
-    fn info(&self, rule: Option<usize>) -> &RuleInfo {
-        match rule {
-            Some(i) => &self.rules[i],
+    /// Number of contexts explored.
+    fn n_ctxs(&self) -> usize {
+        self.space.n_states()
+    }
+
+    /// Whether a finite conforming subtree exists at context `id`.
+    fn comp(&self, id: u32) -> bool {
+        self.round[id as usize] != UNCOMPLETABLE
+    }
+
+    /// The rule information governing context `id`: its relevant rule,
+    /// or the unconstrained pseudo-rule.
+    fn info(&self, id: u32) -> &RuleInfo {
+        match self.space.relevant(id) {
+            Some(i) => &self.rules[i as usize],
             None => &self.unconstrained,
         }
+    }
+
+    /// Which rules some explored context matches (lint BX002: a rule no
+    /// realizable ancestor path matches is unreachable).
+    pub(crate) fn reached_rules(&self) -> Vec<bool> {
+        let mut reached = vec![false; self.rules.len()];
+        for q in 0..self.n_ctxs() as u32 {
+            for &i in self.space.matching(q) {
+                reached[i as usize] = true;
+            }
+        }
+        reached
     }
 
     /// The least-fixed-point completability pass. Round `R` establishes
@@ -594,24 +584,19 @@ impl SchemaSpace {
         let mut round: u32 = 0;
         loop {
             let mut changed = false;
-            for id in 0..self.ctxs.len() {
-                if self.ctxs[id].comp {
+            for id in 0..self.n_ctxs() as u32 {
+                if self.comp(id) {
                     continue;
                 }
-                let info = self.info(self.ctxs[id].rule);
-                if !info.local_ok {
-                    continue;
-                }
-                let dfa = Arc::clone(&info.children);
-                let ok = accepts_restricted(&dfa, |s| {
-                    let next = self.ctxs[id].succ.get(s.index()).copied().unwrap_or(NO_CTX);
-                    next != NO_CTX
-                        && self.ctxs[next as usize].comp
-                        && self.ctxs[next as usize].round < round
-                });
+                let info = self.info(id);
+                let ok = info.local_ok
+                    && accepts_restricted(&info.children, |s| {
+                        self.space
+                            .succ(id, s)
+                            .is_some_and(|next| self.round[next as usize] < round)
+                    });
                 if ok {
-                    self.ctxs[id].comp = true;
-                    self.ctxs[id].round = round;
+                    self.round[id as usize] = round;
                     changed = true;
                 }
             }
@@ -622,33 +607,16 @@ impl SchemaSpace {
         }
     }
 
-    /// The ancestor path (length-lexicographically least) of a context.
-    fn path_syms(&self, mut id: u32) -> Vec<Sym> {
-        let mut rev = Vec::new();
-        loop {
-            let (pred, sym) = self.ctxs[id as usize].pred;
-            rev.push(sym);
-            if pred == NO_CTX {
-                break;
-            }
-            id = pred;
-        }
-        rev.reverse();
-        rev
-    }
-
     /// The children DFA at a context, with transitions on symbols whose
     /// child context is uncompletable (or unexplored) removed — the
     /// language of child sequences this schema can actually realize.
     fn restricted_children(&self, id: u32) -> Dfa {
-        let ctx = &self.ctxs[id as usize];
-        let mut d = (*self.info(ctx.rule).children).clone();
-        for a in 0..self.n_syms {
-            let next = ctx.succ.get(a).copied().unwrap_or(NO_CTX);
-            let viable = next != NO_CTX && self.ctxs[next as usize].comp;
-            if !viable {
+        let mut d = (*self.info(id).children).clone();
+        for a in 0..self.space.n_syms() {
+            let a = Sym(a as u32);
+            if !self.space.succ(id, a).is_some_and(|next| self.comp(next)) {
                 for q in 0..d.n_states() {
-                    d.set_transition(q, Sym(a as u32), None);
+                    d.set_transition(q, a, None);
                 }
             }
         }
@@ -660,28 +628,32 @@ impl SchemaSpace {
     /// established at strictly earlier fixpoint rounds, so recursive
     /// synthesis terminates.
     fn min_word(&self, id: u32) -> Vec<Sym> {
-        let ctx = &self.ctxs[id as usize];
-        debug_assert!(ctx.comp, "min_word on uncompletable context");
-        let dfa = &self.info(ctx.rule).children;
-        shortest_word_restricted(dfa, |s| {
-            let next = ctx.succ.get(s.index()).copied().unwrap_or(NO_CTX);
-            next != NO_CTX
-                && self.ctxs[next as usize].comp
-                && self.ctxs[next as usize].round < ctx.round
+        debug_assert!(self.comp(id), "min_word on uncompletable context");
+        let round = self.round[id as usize];
+        shortest_word_restricted(&self.info(id).children, |s| {
+            self.space
+                .succ(id, s)
+                .is_some_and(|next| self.round[next as usize] < round)
         })
         .expect("completable context has a minimal children word")
+    }
+
+    /// The context below `id` along child symbol `s`, which the
+    /// exploration followed.
+    fn child(&self, id: u32, s: Sym) -> u32 {
+        self.space
+            .succ(id, s)
+            .expect("children of realized words are explored")
     }
 
     /// Builds the minimal conforming subtree rooted at `node`, whose
     /// context is `id`: required attributes and typed text take their
     /// canonical values, children the canonical minimal word.
     fn fill_node(&self, doc: &mut Document, node: xmltree::NodeId, id: u32, names: &Alphabet) {
-        let info = self.info(self.ctxs[id as usize].rule);
-        apply_local(doc, node, info, None);
+        apply_local(doc, node, self.info(id), None);
         for s in self.min_word(id) {
             let child = doc.add_element(node, names.name(s));
-            let next = self.ctxs[id as usize].succ[s.index()];
-            self.fill_node(doc, child, next, names);
+            self.fill_node(doc, child, self.child(id, s), names);
         }
     }
 
@@ -1092,7 +1064,7 @@ struct PairNode {
     ta: u32,
     /// Context id in the negative schema's space.
     tb: u32,
-    /// Discovery predecessor (pair index; [`NO_CTX`] for roots).
+    /// Discovery predecessor (pair index; [`NO_PAIR`] for roots).
     pred: u32,
     /// The symbol taken from the predecessor (the root name for roots).
     sym: Sym,
@@ -1115,7 +1087,7 @@ impl DirectionPass<'_> {
         let mut rev = Vec::new();
         loop {
             rev.push(pairs[idx].sym);
-            if pairs[idx].pred == NO_CTX {
+            if pairs[idx].pred == NO_PAIR {
                 break;
             }
             idx = pairs[idx].pred as usize;
@@ -1129,7 +1101,7 @@ impl DirectionPass<'_> {
     /// accepted ones. Symbols live in it are safe to descend through.
     fn joint_children(&self, p: &PairNode) -> Dfa {
         let ra = self.pos.restricted_children(p.ta);
-        let rb = &self.neg.info(self.neg.ctxs[p.tb as usize].rule).children;
+        let rb = &self.neg.info(p.tb).children;
         product2(&ra, rb, |x, y| x && y)
     }
 
@@ -1149,7 +1121,7 @@ impl DirectionPass<'_> {
         let mut at = leaf;
         loop {
             chain.push(at);
-            if pairs[at].pred == NO_CTX {
+            if pairs[at].pred == NO_PAIR {
                 break;
             }
             at = pairs[at].pred as usize;
@@ -1159,8 +1131,7 @@ impl DirectionPass<'_> {
         let mut node = doc.root();
         for (k, &pi) in chain.iter().enumerate() {
             let p = &pairs[pi];
-            let a_ctx = &self.pos.ctxs[p.ta as usize];
-            let info = self.pos.info(a_ctx.rule);
+            let info = self.pos.info(p.ta);
             if k + 1 < chain.len() {
                 apply_local(&mut doc, node, info, None);
                 let next_sym = pairs[chain[k + 1]].sym;
@@ -1171,8 +1142,8 @@ impl DirectionPass<'_> {
                     if spine_child.is_none() && s == next_sym {
                         spine_child = Some(child);
                     } else {
-                        let next = a_ctx.succ[s.index()];
-                        self.pos.fill_node(&mut doc, child, next, self.names);
+                        self.pos
+                            .fill_node(&mut doc, child, self.pos.child(p.ta, s), self.names);
                     }
                 }
                 node = spine_child?;
@@ -1183,8 +1154,8 @@ impl DirectionPass<'_> {
                 }
                 for &s in leaf_children {
                     let child = doc.add_element(node, self.names.name(s));
-                    let next = a_ctx.succ[s.index()];
-                    self.pos.fill_node(&mut doc, child, next, self.names);
+                    self.pos
+                        .fill_node(&mut doc, child, self.pos.child(p.ta, s), self.names);
                 }
             }
         }
@@ -1203,8 +1174,8 @@ impl DirectionPass<'_> {
     /// every difference found. Returns `(witnesses, dropped)`.
     fn compare_pair(&self, pairs: &[PairNode], idx: usize) -> (Vec<Witness>, usize) {
         let p = &pairs[idx];
-        let a_info = self.pos.info(self.pos.ctxs[p.ta as usize].rule);
-        let b_info = self.neg.info(self.neg.ctxs[p.tb as usize].rule);
+        let a_info = self.pos.info(p.ta);
+        let b_info = self.neg.info(p.tb);
         let path: Vec<String> = self
             .pair_path(pairs, idx)
             .iter()
@@ -1275,7 +1246,7 @@ impl DirectionPass<'_> {
         let mut interner = SubsetInterner::with_capacity(64);
         let mut queue: VecDeque<u32> = VecDeque::new();
         for &(s, ctx) in &self.pos.roots {
-            if !self.pos.ctxs[ctx as usize].comp {
+            if !self.pos.comp(ctx) {
                 continue; // this side cannot realize the root at all
             }
             if let Some(&(_, neg_ctx)) = self.neg.roots.iter().find(|&&(t, _)| t == s) {
@@ -1285,7 +1256,7 @@ impl DirectionPass<'_> {
                     pairs.push(PairNode {
                         ta: ctx,
                         tb: neg_ctx,
-                        pred: NO_CTX,
+                        pred: NO_PAIR,
                         sym: s,
                     });
                     queue.push_back(id);
@@ -1317,12 +1288,14 @@ impl DirectionPass<'_> {
             }
             let (ta, tb) = (pairs[id as usize].ta, pairs[id as usize].tb);
             let live = live_syms(&self.joint_children(&pairs[id as usize]));
-            for a in (0..self.pos.n_syms).filter(|&a| live[a]) {
+            for a in (0..self.pos.space.n_syms()).filter(|&a| live[a]) {
                 let s = Sym(a as u32);
-                let na = self.pos.ctxs[ta as usize].succ[a];
-                let nb = self.neg.ctxs[tb as usize].succ[a];
-                debug_assert!(na != NO_CTX && nb != NO_CTX, "live symbol was explored");
-                if na == NO_CTX || nb == NO_CTX || !self.pos.ctxs[na as usize].comp {
+                let (na, nb) = (self.pos.space.succ(ta, s), self.neg.space.succ(tb, s));
+                debug_assert!(na.is_some() && nb.is_some(), "live symbol was explored");
+                let (Some(na), Some(nb)) = (na, nb) else {
+                    continue;
+                };
+                if !self.pos.comp(na) {
                     continue;
                 }
                 let before = interner.len();
@@ -1348,17 +1321,6 @@ impl DirectionPass<'_> {
         }
         Ok((witnesses, n_pairs, dropped))
     }
-}
-
-/// Renders a child sequence with element names, space-separated.
-fn render_children(word: &[Sym], names: &Alphabet) -> String {
-    if word.is_empty() {
-        return "ε".to_string();
-    }
-    word.iter()
-        .map(|&s| names.name(s))
-        .collect::<Vec<_>>()
-        .join(" ")
 }
 
 // ---------------------------------------------------------------------
@@ -1443,8 +1405,8 @@ pub fn diff_bxsd(
         b_only,
         witnesses,
         stats: DiffStats {
-            contexts_a: space_a.ctxs.len(),
-            contexts_b: space_b.ctxs.len(),
+            contexts_a: space_a.n_ctxs(),
+            contexts_b: space_b.n_ctxs(),
             pairs: pairs_a + pairs_b,
             dropped: drop_a + drop_b,
             cache_hits,
@@ -1464,36 +1426,31 @@ pub fn analyze_sat(
     opts: &AnalysisOptions,
     cache: Option<&mut AutomataCache>,
 ) -> Result<SatReport, AnalysisError> {
-    let n = bxsd.ename.len();
-    let own: Vec<Sym> = bxsd.ename.symbols().collect();
-    let mut auto = Automata { cache };
-    let space = SchemaSpace::build(bxsd, n, own, opts.ctx_budget, &mut auto)?;
+    let space = SchemaSpace::of(bxsd, opts.ctx_budget, &mut Automata { cache })?;
     let witness = space
         .roots
         .iter()
-        .find(|&&(_, ctx)| space.ctxs[ctx as usize].comp)
+        .find(|&&(_, ctx)| space.comp(ctx))
         .map(|&(s, ctx)| xmltree::to_string(&space.synth_doc(s, ctx, &bxsd.ename)));
     let unsat_rules = unsat_rules(&space, &bxsd.ename);
     Ok(SatReport {
         satisfiable: witness.is_some(),
         witness,
         unsat_rules,
-        contexts: space.ctxs.len(),
+        contexts: space.n_ctxs(),
     })
 }
 
 /// Rules relevant at some reachable context that admits no completable
-/// subtree, each with the shortest such ancestor path.
-fn unsat_rules(space: &SchemaSpace, names: &Alphabet) -> Vec<UnsatRule> {
+/// subtree, each with the shortest such ancestor path (lint BX010).
+pub(crate) fn unsat_rules(space: &SchemaSpace, names: &Alphabet) -> Vec<UnsatRule> {
     let mut first_path: Vec<Option<Vec<Sym>>> = vec![None; space.rules.len()];
-    for (id, ctx) in space.ctxs.iter().enumerate() {
-        if ctx.comp {
+    for id in 0..space.n_ctxs() as u32 {
+        if space.comp(id) {
             continue;
         }
-        if let Some(i) = ctx.rule {
-            if first_path[i].is_none() {
-                first_path[i] = Some(space.path_syms(id as u32));
-            }
+        if let Some(i) = space.space.relevant(id) {
+            first_path[i as usize].get_or_insert_with(|| space.space.path(id));
         }
     }
     first_path
@@ -1506,20 +1463,6 @@ fn unsat_rules(space: &SchemaSpace, names: &Alphabet) -> Vec<UnsatRule> {
             })
         })
         .collect()
-}
-
-/// Lint-facing entry: rules that are reachable but unsatisfiable in
-/// context, with witness paths. `Err` means the context budget blew.
-pub(crate) fn unsatisfiable_rule_contexts(
-    bxsd: &Bxsd,
-    budget: usize,
-    cache: Option<&mut AutomataCache>,
-) -> Result<Vec<UnsatRule>, AnalysisError> {
-    let opts = AnalysisOptions {
-        ctx_budget: budget,
-        ..AnalysisOptions::default()
-    };
-    analyze_sat(bxsd, &opts, cache).map(|r| r.unsat_rules)
 }
 
 #[cfg(test)]

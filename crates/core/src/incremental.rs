@@ -7,10 +7,9 @@
 //! names, its text children). A full run therefore leaves behind
 //! exactly the memo needed to replay only what an edit touched. This
 //! module captures that memo as a [`ValidationState`] — SoA arrays
-//! indexed by arena [`NodeId`], mirroring the streaming validator's
-//! `HotFrame` fields (ancestor product state, content-DFA exit state,
-//! per-pass violations) — and replays [`xmltree::Edit`]s against it
-//! with [`CompiledBxsd::revalidate`].
+//! indexed by arena [`NodeId`] (ancestor product state and per-pass
+//! violations) — and replays [`xmltree::Edit`]s against it with
+//! [`CompiledBxsd::revalidate`].
 //!
 //! ## The dirty-propagation rule
 //!
@@ -28,11 +27,8 @@
 //!
 //! Revalidation therefore re-runs the pass of every logged dirty node,
 //! and from there recurses *downward* only into children whose
-//! recomputed ancestor product state differs from the stored one (this
-//! subsumes the content-DFA-exit early-stop: a child whose state is
-//! unchanged has an unchanged subtree report, so if additionally the
-//! parent's recomputed exit state matches, nothing below or beside it
-//! is revisited).
+//! recomputed ancestor product state differs from the stored one: a
+//! child whose state is unchanged has an unchanged subtree report.
 //!
 //! ## Why no ancestor walk-up is needed
 //!
@@ -43,9 +39,7 @@
 //! element whose child list or content it touches. So the logged dirty
 //! set is upward-closed by construction: no edit can change the pass
 //! of a strict ancestor of its logged node, and the upward walk
-//! terminates immediately. (The stored exit states make this checkable:
-//! a debug assertion could recompute any ancestor's exit state and find
-//! it unchanged.)
+//! terminates immediately.
 //!
 //! ## Report identity
 //!
@@ -71,17 +65,12 @@ use relang::Sym;
 use xmltree::{Document, Edit, NodeId};
 use xsd::violation::{Violation, ViolationKind};
 
-use crate::validate::{BxsdReport, CompiledBxsd, ContentEval};
+use crate::validate::{BxsdReport, CompiledBxsd};
 
 /// Sentinel for "no ancestor product state stored" (text node, detached
 /// node, or never visited). Real product states are bounded by the
 /// compile budget, far below this.
 const NOT_COMPUTED: u32 = u32::MAX;
-
-/// Sentinel exit state: the node's content model is not evaluated by an
-/// inline DFA (no relevant rule, simple content, buffered fallback), or
-/// the DFA died before the end of the child word.
-const NO_EXIT: u32 = u32::MAX;
 
 /// Persistent per-document validation memo, produced by
 /// [`CompiledBxsd::validate_persistent`] and updated in place by
@@ -93,9 +82,6 @@ pub struct ValidationState {
     generation: u64,
     /// Per node: ancestor product state, or [`NOT_COMPUTED`].
     anc: Vec<u32>,
-    /// Per node: content-DFA exit state after the child word, or
-    /// [`NO_EXIT`].
-    exit: Vec<u32>,
     /// Per node: the violations its *pass* emitted (for the node itself
     /// and `NoGoverningDefinition` for an unknown-named child).
     viols: Vec<Vec<Violation>>,
@@ -158,7 +144,6 @@ impl ValidationState {
     fn cover(&mut self, n: usize) {
         if self.anc.len() < n {
             self.anc.resize(n, NOT_COMPUTED);
-            self.exit.resize(n, NO_EXIT);
             self.viols.resize(n, Vec::new());
         }
     }
@@ -168,7 +153,6 @@ impl ValidationState {
         let mut stack = vec![node];
         while let Some(n) = stack.pop() {
             self.anc[n.0] = NOT_COMPUTED;
-            self.exit[n.0] = NO_EXIT;
             self.viols[n.0].clear();
             self.has_viols.remove(&n);
             stack.extend_from_slice(doc.children(n));
@@ -259,7 +243,6 @@ impl CompiledBxsd<'_> {
     /// Full traversal from the root, rebuilding `state` from scratch.
     fn full_run(&self, doc: &Document, state: &mut ValidationState) {
         state.anc.clear();
-        state.exit.clear();
         state.viols.clear();
         state.has_viols.clear();
         state.root_rejected = false;
@@ -361,12 +344,6 @@ impl CompiledBxsd<'_> {
                     stack.push(child);
                 }
             }
-            state.exit[node.0] = match &content {
-                ContentEval::Dfa {
-                    q, failed: None, ..
-                } => *q as u32,
-                _ => NO_EXIT,
-            };
             let failed_at = unknown_at.or_else(|| content.finish(count, &word));
             self.check_node(doc, node, relevant, failed_at, has_text, &mut viols);
             if viols.is_empty() {

@@ -7,64 +7,22 @@
 //! sequence, and the reachability analysis explores only ancestor paths
 //! that some document can actually realize under the priority semantics.
 
-use std::collections::{BTreeSet, VecDeque};
-use std::sync::Arc;
+use std::collections::BTreeSet;
 
 use relang::cache::AutomataCache;
-use relang::ops::language::{difference_witness_dfa, regex_to_dfa};
+use relang::ops::language::difference_witness_dfa;
+use relang::ops::minimize;
 use relang::ops::product::product2;
-use relang::ops::subset::SubsetInterner;
-use relang::ops::{minimize, RelevanceProduct};
 use relang::regex::determinism::{check_deterministic_witness, NonDeterminism, UpaWitness};
 use relang::regex::props::is_empty_language;
 use relang::{Alphabet, Dfa, Regex, Sym};
 use xsd::{ContentModel, Xsd};
 
-use crate::bxsd::Bxsd;
+use crate::analysis::{unsat_rules, Automata, SchemaSpace};
 use crate::lang::ast::{SchemaAst, Span};
 use crate::lang::lower::lower_lenient;
 use crate::lint::{Code, Diagnostic, LintOptions, LintReport};
 use crate::translate::classify_bxsd;
-
-/// The checks' view of the automata layer: an optional shared
-/// [`AutomataCache`]. With a cache every `raw_dfa`/`min_dfa` result is
-/// memoized (within this lint run and across the caller's other
-/// compile stages); without one each request computes fresh — the
-/// honest ablation path for `exp_compile --no-cache`.
-struct Ctx<'a> {
-    cache: Option<&'a mut AutomataCache>,
-}
-
-impl Ctx<'_> {
-    fn raw_dfa(&mut self, r: &Regex, n_syms: usize) -> Arc<Dfa> {
-        match self.cache.as_deref_mut() {
-            Some(c) => c.raw_dfa(r, n_syms),
-            None => Arc::new(regex_to_dfa(r, n_syms)),
-        }
-    }
-
-    fn min_dfa(&mut self, r: &Regex, n_syms: usize) -> Arc<Dfa> {
-        match self.cache.as_deref_mut() {
-            Some(c) => c.min_dfa(r, n_syms),
-            None => Arc::new(minimize(&regex_to_dfa(r, n_syms))),
-        }
-    }
-
-    fn relevance_product(
-        &mut self,
-        n_syms: usize,
-        ancestors: &[Regex],
-        budget: usize,
-    ) -> Option<Arc<RelevanceProduct>> {
-        match self.cache.as_deref_mut() {
-            Some(c) => c.relevance_product(n_syms, ancestors, budget),
-            None => {
-                let dfas: Vec<Dfa> = ancestors.iter().map(|r| regex_to_dfa(r, n_syms)).collect();
-                RelevanceProduct::build(n_syms, &dfas, budget).map(Arc::new)
-            }
-        }
-    }
-}
 
 /// Lints a parsed BonXai schema: lowers it leniently and runs every
 /// check, attaching the source span of each offending rule.
@@ -135,15 +93,24 @@ pub fn lint_ast_with(
         return report.finish(opts);
     }
 
-    let mut ctx = Ctx { cache };
+    let mut auto = Automata { cache };
 
-    // BX002: reachability under the priority semantics (budgeted), then
-    // BX001 (dead rules) for the rules that *are* reachable — a rule
-    // gets one of the two diagnoses, with unreachability the stronger.
-    let reach = reachable_rules(bxsd, opts.reach_budget, &mut ctx);
+    // The schema's ancestor-context space (budgeted): the tuples of
+    // per-rule ancestor-DFA states a document can realize, each expanded
+    // only along the child names its relevant rule's content model
+    // allows (all names when a node is unconstrained or its content is
+    // open), with the completability fixpoint on top. BX002 and BX010
+    // both read it.
+    let space = SchemaSpace::of(bxsd, opts.reach_budget, &mut auto);
+
+    // BX002: reachability under the priority semantics — a rule is
+    // reachable iff some context matches it — then BX001 (dead rules)
+    // for the rules that *are* reachable: a rule gets one of the two
+    // diagnoses, with unreachability the stronger.
     let mut unreachable = vec![false; bxsd.rules.len()];
-    match reach {
-        Some(reached) => {
+    match &space {
+        Ok(space) => {
+            let reached = space.reached_rules();
             for (i, rule) in bxsd.rules.iter().enumerate() {
                 if reached[i] {
                     continue;
@@ -165,7 +132,7 @@ pub fn lint_ast_with(
                 });
             }
         }
-        None => {
+        Err(_) => {
             // Budget blown: still report the trivial cases (empty
             // pattern language needs no reachability analysis).
             for (i, rule) in bxsd.rules.iter().enumerate() {
@@ -211,7 +178,7 @@ pub fn lint_ast_with(
         }
         let mut unions = vec![empty; n_rules];
         for i in (0..n_rules.saturating_sub(1)).rev() {
-            let next_min = ctx.min_dfa(&bxsd.rules[i + 1].ancestor, n);
+            let next_min = auto.min_dfa(&bxsd.rules[i + 1].ancestor, n);
             unions[i] = minimize(&product2(&next_min, &unions[i + 1], |x, y| x || y));
         }
         unions
@@ -220,11 +187,11 @@ pub fn lint_ast_with(
         if unreachable[i] || is_empty_language(&rule.ancestor) {
             continue;
         }
-        let anc = ctx.min_dfa(&rule.ancestor, n);
+        let anc = auto.min_dfa(&rule.ancestor, n);
         if difference_witness_dfa(&anc, &suffix_unions[i]).is_some() {
             continue;
         }
-        let word = ctx
+        let word = auto
             .raw_dfa(&rule.ancestor, n)
             .shortest_accepted_word()
             .unwrap_or_default();
@@ -251,13 +218,9 @@ pub fn lint_ast_with(
     // BX010: rules that are relevant at some realizable context but
     // admit no finite conforming subtree there — the whole-schema
     // satisfiability engine, reporting the shortest witness context.
-    match crate::analysis::unsatisfiable_rule_contexts(
-        bxsd,
-        opts.reach_budget,
-        ctx.cache.as_deref_mut(),
-    ) {
-        Ok(unsat) => {
-            for u in unsat {
+    match &space {
+        Ok(space) => {
+            for u in unsat_rules(space, &bxsd.ename) {
                 if unreachable[u.rule] || vacuous_reason(&bxsd.rules[u.rule].content).is_some() {
                     continue; // already diagnosed as BX002 / BX004
                 }
@@ -304,7 +267,7 @@ pub fn lint_ast_with(
     // DFA product per (name, rule) pair.
     let mut ends_with_sym = vec![false; n];
     for rule in &bxsd.rules {
-        let d = ctx.min_dfa(&rule.ancestor, n);
+        let d = auto.min_dfa(&rule.ancestor, n);
         for q in 0..d.n_states() {
             for (a, seen) in ends_with_sym.iter_mut().enumerate() {
                 if !*seen
@@ -361,7 +324,7 @@ pub fn lint_ast_with(
     // validator's default — with a shared cache, a later
     // `CompiledBxsd` build of this schema reuses the probe's product).
     let ancestors: Vec<Regex> = bxsd.rules.iter().map(|r| r.ancestor.clone()).collect();
-    if ctx
+    if auto
         .relevance_product(n, &ancestors, opts.product_budget)
         .is_none()
     {
@@ -590,96 +553,6 @@ fn vacuous_reason(content: &ContentModel) -> Option<String> {
     None
 }
 
-/// Which rules are matched by at least one *realizable* ancestor path:
-/// a breadth-first search over tuples of per-rule ancestor-DFA states,
-/// extending each path only by element names the relevant rule's content
-/// model actually allows (all names when a node is unconstrained or its
-/// content is open). Returns `None` when more than `budget` tuples were
-/// generated.
-fn reachable_rules(bxsd: &Bxsd, budget: usize, ctx: &mut Ctx) -> Option<Vec<bool>> {
-    let n = bxsd.ename.len();
-    let n_rules = bxsd.rules.len();
-    let all_syms: Vec<Sym> = bxsd.ename.symbols().collect();
-
-    // Completed + minimized ancestor DFAs keep the tuple space small and
-    // make every transition total.
-    let dfas: Vec<Arc<Dfa>> = bxsd
-        .rules
-        .iter()
-        .map(|r| ctx.min_dfa(&r.ancestor, n))
-        .collect();
-
-    // Element names each rule's content allows as children.
-    let child_syms: Vec<Vec<Sym>> = bxsd
-        .rules
-        .iter()
-        .map(|r| {
-            if r.content.open {
-                all_syms.clone()
-            } else if r.content.simple_content.is_some() {
-                Vec::new()
-            } else {
-                let set: BTreeSet<Sym> = r.content.regex.symbols().into_iter().collect();
-                set.into_iter().collect()
-            }
-        })
-        .collect();
-
-    // The tuple space lives in an interner (arena slices + Fx index);
-    // the visited count is the interner's length.
-    let mut interner = SubsetInterner::with_capacity(64);
-    let mut queue: VecDeque<u32> = VecDeque::new();
-    let mut reached = vec![false; n_rules];
-    let mut cur: Vec<u32> = Vec::with_capacity(n_rules);
-    let mut succ: Vec<u32> = Vec::with_capacity(n_rules);
-    let root: Vec<u32> = dfas.iter().map(|d| d.initial() as u32).collect();
-    let step = |from: &[u32], sym: Sym, into: &mut Vec<u32>, dfas: &[Arc<Dfa>]| {
-        into.clear();
-        for (&q, d) in from.iter().zip(dfas) {
-            let t = d
-                .transition(q as usize, sym)
-                .expect("completed DFA is total");
-            into.push(t as u32);
-        }
-    };
-    for &s in &bxsd.start {
-        step(&root, s, &mut succ, &dfas);
-        let before = interner.len();
-        let id = interner.intern(&succ);
-        if id as usize == before {
-            queue.push_back(id);
-        }
-    }
-    while let Some(id) = queue.pop_front() {
-        if interner.len() > budget {
-            return None;
-        }
-        cur.clear();
-        cur.extend_from_slice(interner.get(id as usize));
-        // Largest matching rule index = the relevant rule (Definition 1).
-        let mut relevant = None;
-        for i in (0..n_rules).rev() {
-            if dfas[i].is_final(cur[i] as usize) {
-                reached[i] = true;
-                relevant.get_or_insert(i);
-            }
-        }
-        let next_syms = match relevant {
-            Some(i) => &child_syms[i],
-            None => &all_syms, // unconstrained node: any children
-        };
-        for &s in next_syms {
-            step(&cur, s, &mut succ, &dfas);
-            let before = interner.len();
-            let id = interner.intern(&succ);
-            if id as usize == before {
-                queue.push_back(id);
-            }
-        }
-    }
-    Some(reached)
-}
-
 /// Renders an ancestor path with element names, `/`-separated.
 fn render_path(word: &[Sym], names: &Alphabet) -> String {
     if word.is_empty() {
@@ -692,7 +565,7 @@ fn render_path(word: &[Sym], names: &Alphabet) -> String {
 }
 
 /// Renders a child sequence with element names, space-separated.
-fn render_children(word: &[Sym], names: &Alphabet) -> String {
+pub(crate) fn render_children(word: &[Sym], names: &Alphabet) -> String {
     if word.is_empty() {
         return "ε".to_string();
     }

@@ -186,9 +186,10 @@ pub struct LintOptions {
     /// language analysis (no automata products). This is what
     /// `bonxai check` uses.
     pub structural_only: bool,
-    /// State budget for the reachability analysis (tuples of per-rule
-    /// ancestor-DFA states). Exceeding it yields a BX009 note and skips
-    /// the unreachable-rule check.
+    /// State budget for the schema's ancestor-context space (tuples of
+    /// per-rule ancestor-DFA states), which the unreachable-rule (BX002)
+    /// and unsatisfiable-rule (BX010) checks both read. Exceeding it
+    /// yields a BX009 note per check and skips both.
     pub reach_budget: usize,
     /// State budget for the relevance-product probe (BX008); mirrors
     /// [`crate::validate::DEFAULT_PRODUCT_BUDGET`].

@@ -144,8 +144,9 @@ fn summary(report: &LintReport) -> String {
     }
 }
 
-/// JSON string literal with the escapes RFC 8259 requires.
-fn json_string(s: &str) -> String {
+/// JSON string literal with the escapes RFC 8259 requires (shared by
+/// every hand-rendered JSON report).
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

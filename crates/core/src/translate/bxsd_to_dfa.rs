@@ -21,7 +21,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use relang::cache::AutomataCache;
-use relang::ops::{full_product, lazy_product_pruned, minimize, regex_to_dfa, Product};
+use relang::ops::{full_product, minimize, regex_to_dfa, AncestorSpace, Follow, Seed};
 use relang::{Dfa, Sym};
 use xsd::{ContentModel, DfaXsd};
 
@@ -58,69 +58,76 @@ fn build(bxsd: &Bxsd, lazy: bool, mut cache: Option<&mut AutomataCache>) -> DfaX
         })
         .collect();
     let refs: Vec<&Dfa> = components.iter().map(Arc::as_ref).collect();
-
-    // Lines 4–6, as a function of a product tuple.
-    let relevant = |tuple: &[usize]| -> Option<usize> {
-        (0..components.len())
-            .rev()
-            .find(|&i| components[i].is_final(tuple[i]))
-    };
-    // Symbols each rule's content model mentions (for the λ-pruning).
-    let rule_syms: Vec<BTreeSet<Sym>> = bxsd
-        .rules
-        .iter()
-        .map(|r| r.content.regex.symbols().into_iter().collect())
-        .collect();
-    let start_tuple: Vec<usize> = components.iter().map(|c| c.initial()).collect();
     let roots: BTreeSet<Sym> = bxsd.start.iter().copied().collect();
 
-    // Line 2: the product.
-    let product: Product = if components.is_empty() {
-        // No rules: a single unconstrained state.
-        let mut dfa = Dfa::new(n, 1, 0);
-        for a in 0..n {
-            dfa.set_transition(0, Sym(a as u32), Some(0));
-        }
-        Product {
-            dfa,
-            tuples: vec![vec![]],
-        }
-    } else if lazy {
-        lazy_product_pruned(&refs, |tuple, a| {
-            let by_lambda = match relevant(tuple) {
-                Some(i) => rule_syms[i].contains(&a),
-                None => true, // filler state: (EName)* allows everything
-            };
-            by_lambda || (tuple == start_tuple.as_slice() && roots.contains(&a))
-        })
+    // Line 2: the product automaton, and per state lines 4–6's relevant
+    // rule. With no rules both products are the single empty tuple.
+    let (product, relevant): (Dfa, Vec<Option<usize>>) = if lazy || refs.is_empty() {
+        // Symbols each rule's content model mentions (the λ-pruning);
+        // a filler state's (EName)* allows everything, and the start
+        // state also follows the root names.
+        let rule_syms: Vec<Vec<Sym>> = bxsd
+            .rules
+            .iter()
+            .map(|r| {
+                let set: BTreeSet<Sym> = r.content.regex.symbols().into_iter().collect();
+                set.into_iter().collect()
+            })
+            .collect();
+        let all: Vec<Sym> = bxsd.ename.symbols().collect();
+        let mut lambda = |q: u32, rule: Option<u32>, out: &mut Vec<Sym>| {
+            out.extend_from_slice(rule.map_or(&all, |i| &rule_syms[i as usize]));
+            if q == 0 {
+                out.extend(&roots);
+                out.sort_unstable();
+                out.dedup();
+            }
+        };
+        let space = AncestorSpace::explore(
+            n,
+            &refs,
+            &[Seed::Initial],
+            Follow::By(&mut lambda),
+            usize::MAX,
+        )
+        .expect("an unbudgeted exploration always finishes");
+        let relevant = (0..space.n_states() as u32)
+            .map(|q| space.relevant(q).map(|i| i as usize))
+            .collect();
+        (space.to_dfa(|_| false), relevant)
     } else {
-        full_product(&refs)
+        let p = full_product(&refs);
+        let relevant = p
+            .tuples
+            .iter()
+            .map(|t| (0..refs.len()).rev().find(|&i| refs[i].is_final(t[i])))
+            .collect();
+        (p.dfa, relevant)
     };
 
     // Assemble the DFA-based XSD with a fresh initial state (the product
     // start state may have incoming transitions; Definition 3 forbids
     // that for q0). Product state p becomes state 1 + p.
-    let k = product.dfa.n_states();
+    let k = product.n_states();
     let mut dfa = Dfa::new(n, k + 1, 0);
     for p in 0..k {
         for a in 0..n {
-            if let Some(t) = product.dfa.transition(p, Sym(a as u32)) {
+            if let Some(t) = product.transition(p, Sym(a as u32)) {
                 dfa.set_transition(1 + p, Sym(a as u32), Some(1 + t));
             }
         }
     }
-    let start_state = product.dfa.initial();
+    let start_state = product.initial();
     for &a in &roots {
         let t = product
-            .dfa
             .transition(start_state, a)
             .expect("root transitions are kept by the pruning");
         dfa.set_transition(0, a, Some(1 + t));
     }
 
     let mut lambda: Vec<Option<ContentModel>> = vec![None; k + 1];
-    for (p, tuple) in product.tuples.iter().enumerate() {
-        lambda[1 + p] = Some(match relevant(tuple) {
+    for (p, rule) in relevant.into_iter().enumerate() {
+        lambda[1 + p] = Some(match rule {
             Some(i) => bxsd.rules[i].content.clone(),
             None => ContentModel::any_content(&bxsd.ename),
         });

@@ -1,6 +1,7 @@
 //! Automata operations: determinization, minimization, products,
 //! state elimination, and language decision procedures.
 
+pub mod ancestor;
 pub mod canonical;
 pub mod eliminate;
 pub mod language;
@@ -9,6 +10,7 @@ pub mod product;
 pub mod relevance;
 pub mod subset;
 
+pub use ancestor::{AncestorSpace, Follow, Seed};
 pub use canonical::{language_key, LanguageKey};
 pub use eliminate::{dfa_to_regex, dfa_to_regex_with_order, language_reaching, EliminationOrder};
 pub use language::{
@@ -16,6 +18,6 @@ pub use language::{
     is_equivalent, is_subset, is_subset_with, regex_to_dfa, regex_to_dfa_with,
 };
 pub use minimize::minimize;
-pub use product::{full_product, lazy_product, lazy_product_pruned, product2, Product};
+pub use product::{full_product, product2, Product};
 pub use relevance::{ProductState, RelevanceProduct};
 pub use subset::determinize;

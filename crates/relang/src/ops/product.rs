@@ -4,15 +4,15 @@
 //! complete DFAs of the rule languages. The full product has
 //! `|Q1| × … × |Qn|` states; as the paper notes, "it is straightforward to
 //! change it such that it only computes reachable states" — which is what
-//! [`lazy_product`] does. A strict full product is kept for differential
-//! testing on small inputs.
-
-use std::collections::BTreeMap;
+//! [`AncestorSpace`] does, for Algorithm 3 and for the binary products
+//! here alike. A strict full product is kept for differential testing on
+//! small inputs.
 
 use crate::alphabet::Sym;
 use crate::dfa::Dfa;
+use crate::ops::ancestor::{AncestorSpace, Follow, Seed};
 
-/// The reachable product of complete DFAs.
+/// The full product of complete DFAs.
 ///
 /// `dfa` is the product automaton (acceptance unset — callers decide what
 /// "accepting" means from the component states) and `tuples[q]` is the
@@ -23,109 +23,6 @@ pub struct Product {
     pub dfa: Dfa,
     /// `tuples[q][i]` = state of component `i` in product state `q`.
     pub tuples: Vec<Vec<usize>>,
-}
-
-/// Builds the reachable part of the product of `components`, all of which
-/// must be complete DFAs over the same alphabet.
-#[allow(clippy::needless_range_loop)] // dense-table row indexing
-pub fn lazy_product(components: &[&Dfa]) -> Product {
-    assert!(!components.is_empty(), "product of zero automata");
-    let n_syms = components[0].n_syms();
-    for c in components {
-        assert_eq!(c.n_syms(), n_syms, "alphabet mismatch");
-        assert!(c.is_complete(), "lazy_product requires complete DFAs");
-    }
-
-    let start: Vec<usize> = components.iter().map(|c| c.initial()).collect();
-    let mut ids: BTreeMap<Vec<usize>, usize> = BTreeMap::new();
-    let mut tuples: Vec<Vec<usize>> = Vec::new();
-    ids.insert(start.clone(), 0);
-    tuples.push(start);
-
-    let mut rows: Vec<Vec<usize>> = Vec::new();
-    let mut next = 0usize;
-    while next < tuples.len() {
-        let cur = tuples[next].clone();
-        let mut row = Vec::with_capacity(n_syms);
-        for a in 0..n_syms {
-            let target: Vec<usize> = cur
-                .iter()
-                .zip(components.iter())
-                .map(|(&q, c)| c.transition(q, Sym(a as u32)).expect("complete DFA"))
-                .collect();
-            let id = *ids.entry(target.clone()).or_insert_with(|| {
-                tuples.push(target);
-                tuples.len() - 1
-            });
-            row.push(id);
-        }
-        rows.push(row);
-        next += 1;
-    }
-
-    let mut dfa = Dfa::new(n_syms, tuples.len(), 0);
-    for (q, row) in rows.iter().enumerate() {
-        for (a, &t) in row.iter().enumerate() {
-            dfa.set_transition(q, Sym(a as u32), Some(t));
-        }
-    }
-    Product { dfa, tuples }
-}
-
-/// Like [`lazy_product`], but only follows transitions for which
-/// `allowed(q, a)` holds on the *source* product state. Algorithm 3's
-/// λ-pruning: "a transition δ(p, a), for which the label a does not occur
-/// in λ(p), can never be taken in a conforming document". Disallowed
-/// transitions are left undefined (the result is partial).
-#[allow(clippy::needless_range_loop)] // dense-table row indexing
-pub fn lazy_product_pruned(
-    components: &[&Dfa],
-    mut allowed: impl FnMut(&[usize], Sym) -> bool,
-) -> Product {
-    assert!(!components.is_empty(), "product of zero automata");
-    let n_syms = components[0].n_syms();
-    for c in components {
-        assert_eq!(c.n_syms(), n_syms, "alphabet mismatch");
-        assert!(c.is_complete(), "lazy_product requires complete DFAs");
-    }
-
-    let start: Vec<usize> = components.iter().map(|c| c.initial()).collect();
-    let mut ids: BTreeMap<Vec<usize>, usize> = BTreeMap::new();
-    let mut tuples: Vec<Vec<usize>> = Vec::new();
-    ids.insert(start.clone(), 0);
-    tuples.push(start);
-
-    let mut rows: Vec<Vec<Option<usize>>> = Vec::new();
-    let mut next = 0usize;
-    while next < tuples.len() {
-        let cur = tuples[next].clone();
-        let mut row = vec![None; n_syms];
-        for a in 0..n_syms {
-            if !allowed(&cur, Sym(a as u32)) {
-                continue;
-            }
-            let target: Vec<usize> = cur
-                .iter()
-                .zip(components.iter())
-                .map(|(&q, c)| c.transition(q, Sym(a as u32)).expect("complete DFA"))
-                .collect();
-            let id = *ids.entry(target.clone()).or_insert_with(|| {
-                tuples.push(target);
-                tuples.len() - 1
-            });
-            row[a] = Some(id);
-        }
-        rows.push(row);
-        next += 1;
-    }
-
-    let mut dfa = Dfa::new(n_syms, tuples.len(), 0);
-    for (q, row) in rows.iter().enumerate() {
-        for (a, &t) in row.iter().enumerate() {
-            dfa.set_transition(q, Sym(a as u32), t);
-        }
-    }
-    Product { dfa, tuples }
 }
 
 /// Strict full product over all state tuples (reference implementation for
@@ -175,18 +72,23 @@ pub fn full_product(components: &[&Dfa]) -> Product {
 }
 
 /// Binary product with an acceptance combiner — the workhorse of language
-/// intersection/difference tests in [`crate::ops::language`].
+/// intersection/difference tests in [`crate::ops::language`]. The result
+/// is complete: a component without a transition parks on
+/// the explorer's dead sentinel, which behaves like a completion sink
+/// (so partial inputs need no completed copies).
 pub fn product2(d1: &Dfa, d2: &Dfa, accept: impl Fn(bool, bool) -> bool) -> Dfa {
-    let mut a = d1.clone();
-    a.complete();
-    let mut b = d2.clone();
-    b.complete();
-    let p = lazy_product(&[&a, &b]);
-    let mut dfa = p.dfa;
-    for (q, tuple) in p.tuples.iter().enumerate() {
-        dfa.set_final(q, accept(a.is_final(tuple[0]), b.is_final(tuple[1])));
-    }
-    dfa
+    let space = AncestorSpace::explore(
+        d1.n_syms(),
+        &[d1, d2],
+        &[Seed::Initial],
+        Follow::All,
+        usize::MAX,
+    )
+    .expect("an unbudgeted exploration always finishes");
+    space.to_dfa(|q| {
+        let m = space.matching(q);
+        accept(m.first() == Some(&0), m.last() == Some(&1))
+    })
 }
 
 #[cfg(test)]
@@ -219,47 +121,5 @@ mod tests {
         assert!(d.accepts(&[Sym(1)]));
         assert!(!d.accepts(&[Sym(0), Sym(1)]));
         assert!(d.accepts(&[Sym(0), Sym(0), Sym(1)]));
-    }
-
-    #[test]
-    fn lazy_product_matches_full_product_language() {
-        let l1 = Regex::star(Regex::concat(vec![s(0), s(1)]));
-        let l2 = Regex::concat(vec![Regex::star(s(0)), Regex::star(s(1))]);
-        let d1 = complete_dfa_of(&l1, 2);
-        let d2 = complete_dfa_of(&l2, 2);
-        let lazy = lazy_product(&[&d1, &d2]);
-        let full = full_product(&[&d1, &d2]);
-        assert!(lazy.dfa.n_states() <= full.dfa.n_states());
-        // same reachable tuple behavior: run both on words, compare tuples
-        let words: &[&[u32]] = &[&[], &[0], &[0, 1], &[1, 1, 0], &[0, 1, 0, 1]];
-        for w in words {
-            let w: Vec<Sym> = w.iter().map(|&i| Sym(i)).collect();
-            let ql = lazy.dfa.run(&w).unwrap();
-            let qf = full.dfa.run(&w).unwrap();
-            assert_eq!(lazy.tuples[ql], full.tuples[qf], "{w:?}");
-        }
-    }
-
-    #[test]
-    fn pruned_product_skips_disallowed() {
-        let l1 = Regex::star(Regex::alt(vec![s(0), s(1)]));
-        let d1 = complete_dfa_of(&l1, 2);
-        // Disallow symbol 1 everywhere: product collapses to the a-chain.
-        let p = lazy_product_pruned(&[&d1], |_, a| a == Sym(0));
-        for q in 0..p.dfa.n_states() {
-            assert_eq!(p.dfa.transition(q, Sym(1)), None);
-        }
-    }
-
-    #[test]
-    fn product_tuple_bookkeeping() {
-        let l1 = Regex::concat(vec![s(0), s(1)]);
-        let d1 = complete_dfa_of(&l1, 2);
-        let p = lazy_product(&[&d1, &d1]);
-        // initial tuple is the pair of initials
-        assert_eq!(p.tuples[0], vec![d1.initial(), d1.initial()]);
-        // after "a" both components moved identically
-        let q = p.dfa.run(&[Sym(0)]).unwrap();
-        assert_eq!(p.tuples[q][0], p.tuples[q][1]);
     }
 }

@@ -18,20 +18,15 @@
 //! evaluation. In practice ancestor patterns are overwhelmingly k-suffix
 //! (Section 4.4) and the reachable product stays tiny.
 //!
-//! Unlike [`super::product`], the construction here works directly on
-//! *partial* component DFAs: each component carries an implicit dead
-//! state (sentinel [`DEAD_COMPONENT`]) and the all-dead tuple is interned
-//! unconditionally so callers can park unmatchable subtrees on it.
+//! The product itself is an [`AncestorSpace`] explored from the initial
+//! tuple along every symbol, with the all-dead tuple seeded second so
+//! callers can park unmatchable subtrees on it. Components may be
+//! *partial* DFAs: a missing transition parks a component on the
+//! space's dead sentinel.
 
 use crate::alphabet::Sym;
 use crate::dfa::Dfa;
-use crate::ops::subset::SubsetInterner;
-
-/// Per-component sentinel for "this rule automaton has rejected".
-const DEAD_COMPONENT: u32 = u32::MAX;
-
-/// Sentinel in the `relevant` table for "no rule matches".
-const NO_RULE: u32 = u32::MAX;
+use crate::ops::ancestor::{AncestorSpace, Follow, Seed};
 
 /// A compact product-state identifier.
 pub type ProductState = u32;
@@ -44,18 +39,9 @@ pub type ProductState = u32;
 /// explicit [`RelevanceProduct::dead`] state self-loop into dead.
 #[derive(Clone, Debug)]
 pub struct RelevanceProduct {
-    n_syms: usize,
-    n_components: usize,
+    space: AncestorSpace,
     initial: ProductState,
     dead: ProductState,
-    /// Row-major `n_states × n_syms` total transition table.
-    table: Vec<ProductState>,
-    /// Per state: largest matching component index, or `NO_RULE`.
-    relevant: Vec<u32>,
-    /// Per state: offset range into `match_data` (CSR layout).
-    match_off: Vec<u32>,
-    /// Concatenated matching-component sets, each sorted ascending.
-    match_data: Vec<u32>,
 }
 
 impl RelevanceProduct {
@@ -80,111 +66,28 @@ impl RelevanceProduct {
         components: &[&Dfa],
         budget: usize,
     ) -> Option<RelevanceProduct> {
-        for &d in components {
-            assert_eq!(d.n_syms(), n_syms, "component alphabet mismatch");
-            assert!(
-                (d.n_states() as u64) < DEAD_COMPONENT as u64,
-                "component too large"
-            );
-        }
-        let n = components.len();
-
-        // Tuples are interned as `u32` slices in a shared arena with
-        // Fx-hashed open addressing — the same kernel the subset
-        // construction uses. Ids come out in first-insertion order, so
-        // the state numbering is identical to the previous
-        // `HashMap<Box<[u32]>, _>` memo, without a heap allocation and
-        // a SipHash pass per successor tuple (the product stage spends
-        // almost all its time interning already-seen tuples).
-        let mut tuples = SubsetInterner::with_capacity(budget.clamp(16, 1 << 12));
-
-        // Seed with the initial tuple and the all-dead tuple. A component
-        // with no states at all is dead from the start.
-        let mut scratch: Vec<u32> = Vec::with_capacity(n);
-        scratch.extend(components.iter().map(|d| {
-            if d.n_states() == 0 {
-                DEAD_COMPONENT
-            } else {
-                d.initial() as u32
-            }
-        }));
-        let initial = tuples.intern(&scratch);
-        scratch.clear();
-        scratch.resize(n, DEAD_COMPONENT);
-        let dead = tuples.intern(&scratch);
-
-        // BFS over the reachable product, building total rows as we go.
-        // `cur` snapshots the tuple being expanded (the arena cannot be
-        // borrowed across `intern`).
-        let mut table: Vec<ProductState> = Vec::new();
-        let mut cur: Vec<u32> = Vec::new();
-        let mut next = 0usize;
-        while next < tuples.len() {
-            if tuples.len() > budget {
-                return None;
-            }
-            cur.clear();
-            cur.extend_from_slice(tuples.get(next));
-            for a in 0..n_syms {
-                scratch.clear();
-                scratch.extend(cur.iter().zip(components).map(|(&q, d)| {
-                    if q == DEAD_COMPONENT {
-                        DEAD_COMPONENT
-                    } else {
-                        d.transition(q as usize, Sym(a as u32))
-                            .map_or(DEAD_COMPONENT, |t| t as u32)
-                    }
-                }));
-                table.push(tuples.intern(&scratch));
-            }
-            next += 1;
-        }
-        if tuples.len() > budget {
-            return None;
-        }
-
-        // Annotate each state with its matching set and relevant rule.
-        let mut relevant = Vec::with_capacity(tuples.len());
-        let mut match_off = Vec::with_capacity(tuples.len() + 1);
-        let mut match_data = Vec::new();
-        match_off.push(0u32);
-        for s in 0..tuples.len() {
-            let tuple = tuples.get(s);
-            for (i, (&q, d)) in tuple.iter().zip(components).enumerate() {
-                if q != DEAD_COMPONENT && d.is_final(q as usize) {
-                    match_data.push(i as u32);
-                }
-            }
-            match_off.push(match_data.len() as u32);
-            let lo = match_off[match_off.len() - 2] as usize;
-            relevant.push(match_data[lo..].last().copied().unwrap_or(NO_RULE));
-        }
-
+        let seeds = [Seed::Initial, Seed::Dead];
+        let space = AncestorSpace::explore(n_syms, components, &seeds, Follow::All, budget)?;
         Some(RelevanceProduct {
-            n_syms,
-            n_components: n,
-            initial,
-            dead,
-            table,
-            relevant,
-            match_off,
-            match_data,
+            initial: space.seed(0),
+            dead: space.seed(1),
+            space,
         })
     }
 
     /// Alphabet size.
     pub fn n_syms(&self) -> usize {
-        self.n_syms
+        self.space.n_syms()
     }
 
     /// Number of component automata (rules).
     pub fn n_components(&self) -> usize {
-        self.n_components
+        self.space.n_components()
     }
 
     /// Number of product states actually constructed.
     pub fn n_states(&self) -> usize {
-        self.relevant.len()
+        self.space.n_states()
     }
 
     /// The product state for the empty ancestor string.
@@ -209,30 +112,25 @@ impl RelevanceProduct {
     /// `δ(q, a)` — total, a single table lookup.
     #[inline]
     pub fn step(&self, q: ProductState, a: Sym) -> ProductState {
-        self.table[q as usize * self.n_syms + a.index()]
+        self.space.step(q, a)
     }
 
     /// The components in an accepting state at `q` (ascending indices).
     #[inline]
     pub fn matching(&self, q: ProductState) -> &[u32] {
-        let lo = self.match_off[q as usize] as usize;
-        let hi = self.match_off[q as usize + 1] as usize;
-        &self.match_data[lo..hi]
+        self.space.matching(q)
     }
 
     /// The largest matching component index at `q` — BonXai's relevant
     /// rule for the ancestor string that reached `q`.
     #[inline]
     pub fn relevant(&self, q: ProductState) -> Option<u32> {
-        let r = self.relevant[q as usize];
-        (r != NO_RULE).then_some(r)
+        self.space.relevant(q)
     }
 
     /// Approximate heap footprint in bytes (for budget diagnostics).
     pub fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.table.len() + self.relevant.len() + self.match_off.len() + self.match_data.len())
-            * size_of::<u32>()
+        self.space.memory_bytes()
     }
 }
 

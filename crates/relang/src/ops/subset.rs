@@ -22,9 +22,9 @@ const EMPTY: u32 = u32::MAX;
 /// arena with a Fx-hashed open-addressing index.
 ///
 /// Ids are dense and assigned in first-insertion order, which is what
-/// lets [`determinize`] (and the relevance-product construction) keep
-/// their historical state numbering while dropping the allocation-heavy
-/// ordered map. Key slices may contain any `u32` values, including
+/// lets [`determinize`] (and the ancestor-space explorer,
+/// [`crate::ops::ancestor`]) keep their historical state numbering while
+/// dropping the allocation-heavy ordered map. Key slices may contain any `u32` values, including
 /// sentinels — only slot entries in the index are reserved.
 #[derive(Clone, Debug)]
 pub struct SubsetInterner {

@@ -6,11 +6,15 @@
 //! * DFA→regex state elimination round-trips;
 //! * print∘parse is the identity on regex ASTs;
 //! * the determinism checker agrees with the Glushkov automaton's
-//!   syntactic determinism.
+//!   syntactic determinism;
+//! * the ancestor-space explorer records length-lexicographically least
+//!   paths and, following every symbol, is the reachable full product.
 
 use proptest::prelude::*;
 
-use relang::ops::{determinize, dfa_to_regex, minimize};
+use relang::ops::{
+    determinize, dfa_to_regex, full_product, minimize, regex_to_dfa, AncestorSpace, Follow, Seed,
+};
 use relang::regex::derivative::matches as dmatches;
 use relang::regex::determinism::is_deterministic;
 use relang::regex::display::display_regex;
@@ -225,5 +229,164 @@ proptest! {
         }
         let scrambled = relabel(&dfa, &perm);
         prop_assert_eq!(minimize(&scrambled), minimize(&dfa));
+    }
+}
+
+/// The components in an accepting state after `word`, each run from its
+/// initial state (the lock-step reference).
+fn lockstep_matching(components: &[relang::Dfa], word: &[Sym]) -> Vec<u32> {
+    (0..components.len() as u32)
+        .filter(|&i| {
+            let d = &components[i as usize];
+            d.n_states() > 0 && d.run(word).is_some_and(|q| d.is_final(q))
+        })
+        .collect()
+}
+
+/// Walks `word` through an explored space: the seed the word starts
+/// from (an initial seed takes the empty prefix, a step seed its
+/// symbol), then followed edges only.
+fn walk(space: &AncestorSpace, seeds: &[Seed], word: &[Sym]) -> Option<u32> {
+    for (i, seed) in seeds.iter().enumerate() {
+        let rest = match (seed, word.split_first()) {
+            (Seed::Initial, _) => word,
+            (Seed::Step(s), Some((a, rest))) if a == s => rest,
+            _ => continue,
+        };
+        return rest
+            .iter()
+            .try_fold(space.seed(i), |q, &a| space.succ(q, a));
+    }
+    None
+}
+
+/// The path invariants `sat` witnesses and `diff` paths rely on: each
+/// state's path replays from its seed through the components to the
+/// state's annotations, takes only followed edges, and is the least
+/// such word of its length.
+fn check_paths(
+    space: &AncestorSpace,
+    components: &[relang::Dfa],
+    seeds: &[Seed],
+) -> Result<(), TestCaseError> {
+    let n = space.n_states();
+    for q in 0..n as u32 {
+        let path = space.path(q);
+        let want = lockstep_matching(components, &path);
+        prop_assert_eq!(
+            space.matching(q),
+            want.as_slice(),
+            "state {} path {:?}",
+            q,
+            &path
+        );
+        prop_assert_eq!(space.relevant(q), want.last().copied());
+        prop_assert_eq!(walk(space, seeds, &path), Some(q), "path {:?}", &path);
+    }
+    // Words come length-lexicographically ordered, so the first one to
+    // reach a state must be its path, and a state no short word reaches
+    // must have a longer path.
+    const MAX_LEN: usize = 6;
+    let mut first: Vec<Option<Vec<Sym>>> = vec![None; n];
+    for w in words_up_to(MAX_LEN) {
+        if let Some(q) = walk(space, seeds, &w) {
+            first[q as usize].get_or_insert(w);
+        }
+    }
+    for (q, w) in first.into_iter().enumerate() {
+        let path = space.path(q as u32);
+        match w {
+            Some(w) => prop_assert_eq!(&path, &w, "state {}", q),
+            None => prop_assert!(path.len() > MAX_LEN, "state {} path {:?}", q, &path),
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn ancestor_space_every_symbol_is_the_reachable_full_product(
+        rs in prop::collection::vec(core_regex(), 1..4)
+    ) {
+        // Raw partial DFAs: missing transitions park on the dead
+        // sentinel, which the full product sees as a completion sink.
+        let comps: Vec<relang::Dfa> = rs.iter().map(|r| regex_to_dfa(r, N_SYMS)).collect();
+        let refs: Vec<&relang::Dfa> = comps.iter().collect();
+        let seeds = [Seed::Initial];
+        let space = AncestorSpace::explore(N_SYMS, &refs, &seeds, Follow::All, usize::MAX)
+            .expect("no budget");
+        check_paths(&space, &comps, &seeds)?;
+        let n = space.n_states();
+        prop_assert!(AncestorSpace::explore(N_SYMS, &refs, &seeds, Follow::All, n).is_some());
+        prop_assert!(AncestorSpace::explore(N_SYMS, &refs, &seeds, Follow::All, n - 1).is_none());
+
+        let complete: Vec<relang::Dfa> = comps
+            .iter()
+            .map(|d| {
+                let mut c = d.clone();
+                c.complete();
+                c
+            })
+            .collect();
+        if complete.iter().all(|d| d.n_states() > 0) {
+            let full = full_product(&complete.iter().collect::<Vec<_>>());
+            // Each state's path lands on a distinct reachable tuple, all
+            // reachable tuples are hit, and the two agree on transitions
+            // and component finality.
+            let image: Vec<usize> = (0..n as u32)
+                .map(|q| full.dfa.run(&space.path(q)).expect("complete product"))
+                .collect();
+            let mut hit = image.clone();
+            hit.sort_unstable();
+            hit.dedup();
+            let mut reachable = full.dfa.reachable();
+            reachable.sort_unstable();
+            prop_assert_eq!(hit, reachable);
+            for q in 0..n as u32 {
+                let tuple = &full.tuples[image[q as usize]];
+                let want: Vec<u32> = (0..complete.len() as u32)
+                    .filter(|&i| complete[i as usize].is_final(tuple[i as usize]))
+                    .collect();
+                prop_assert_eq!(space.matching(q), want.as_slice());
+                for a in 0..N_SYMS as u32 {
+                    let t = image[space.step(q, Sym(a)) as usize];
+                    prop_assert_eq!(full.dfa.transition(image[q as usize], Sym(a)), Some(t));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ancestor_space_pruned_paths_are_least_followed_words(
+        rs in prop::collection::vec(core_regex(), 1..4),
+        roots in prop::collection::vec(0..N_SYMS as u32, 1..4),
+        mask in prop::collection::vec(any::<bool>(), 4 * N_SYMS),
+    ) {
+        // Minimal complete DFAs, one step seed per root name, and a
+        // follow that depends on the relevant rule, like the schema
+        // context space's child names.
+        let comps: Vec<relang::Dfa> =
+            rs.iter().map(|r| minimize(&regex_to_dfa(r, N_SYMS))).collect();
+        let refs: Vec<&relang::Dfa> = comps.iter().collect();
+        let mut roots = roots;
+        roots.sort_unstable();
+        roots.dedup();
+        let seeds: Vec<Seed> = roots.iter().map(|&s| Seed::Step(Sym(s))).collect();
+        let mut follow = |_: u32, rule: Option<u32>, out: &mut Vec<Sym>| {
+            let slot = rule.map_or(3, |r| r as usize);
+            out.extend((0..N_SYMS as u32).filter(|&a| mask[slot * N_SYMS + a as usize]).map(Sym));
+        };
+        let space = AncestorSpace::explore(N_SYMS, &refs, &seeds, Follow::By(&mut follow), usize::MAX)
+            .expect("no budget");
+        check_paths(&space, &comps, &seeds)?;
+        // Exactly the picked symbols were followed.
+        for q in 0..space.n_states() as u32 {
+            let slot = space.relevant(q).map_or(3, |r| r as usize);
+            for a in 0..N_SYMS {
+                prop_assert_eq!(space.succ(q, Sym(a as u32)).is_some(), mask[slot * N_SYMS + a]);
+            }
+        }
     }
 }
