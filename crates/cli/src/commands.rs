@@ -3,9 +3,12 @@
 use std::fs;
 use std::process::ExitCode;
 
+use bonxai_core::constraints::check_constraints;
 use bonxai_core::lint::render::json_string;
 use bonxai_core::translate::{Path as TranslatePath, TranslateOptions};
-use bonxai_core::{dtd_import, pipeline, BonxaiSchema, CompiledBxsd, ValidateOptions};
+use bonxai_core::{
+    dtd_import, pipeline, BonxaiSchema, CompiledBxsd, ValidateOptions, ValidationReport,
+};
 use xmltree::Document;
 
 /// A loaded schema in any of the three formalisms.
@@ -122,13 +125,15 @@ pub fn validate(args: &[String]) -> Result<ExitCode, String> {
             .into());
     };
     let schema = load_schema(schema_path)?;
-    if has_flag(args, "--stats") {
-        // One compile through a session cache; the per-stage counters
-        // show what the structural-hash memo shared within the compile
-        // (misses = constructions actually run).
-        if let AnySchema::Bonxai(s) = &schema {
+    // A BonXai schema is compiled once, for the stats, the --fast probe
+    // and validation alike. Under --stats the compile runs through a
+    // session cache, whose per-stage counters show what the
+    // structural-hash memo shared within it (misses = constructions
+    // actually run).
+    let compiled = match &schema {
+        AnySchema::Bonxai(s) if has_flag(args, "--stats") => {
             let mut session = pipeline::SchemaCompiler::new();
-            let _ = session.compile(&s.bxsd);
+            let compiled = session.compile(&s.bxsd);
             let st = session.last_stats();
             println!(
                 "cache stats (hits/misses): raw {}/{}  min {}/{}  product {}/{}  content {}/{}",
@@ -141,10 +146,16 @@ pub fn validate(args: &[String]) -> Result<ExitCode, String> {
                 st.content.hits,
                 st.content.misses,
             );
-        } else {
-            println!("cache stats: (BonXai schemas only)");
+            Some(compiled)
         }
-    }
+        AnySchema::Bonxai(s) => Some(CompiledBxsd::new(&s.bxsd)),
+        _ => {
+            if has_flag(args, "--stats") {
+                println!("cache stats: (BonXai schemas only)");
+            }
+            None
+        }
+    };
     let show_rules = has_flag(args, "--rules");
     let show_matches = has_flag(args, "--matches");
     let opts = ValidateOptions {
@@ -155,23 +166,25 @@ pub fn validate(args: &[String]) -> Result<ExitCode, String> {
         return Err("--fast and --lockstep are mutually exclusive".into());
     }
     if has_flag(args, "--stream") {
-        return validate_stream(args, &schema, doc_path, opts);
+        return validate_stream(args, &schema, compiled.as_ref(), doc_path, opts);
     }
     let doc = load_document(doc_path)?;
 
     let valid = match &schema {
         AnySchema::Bonxai(s) => {
-            if has_flag(args, "--fast") {
-                // --fast demands the one-lookup-per-node product path;
-                // refuse to run if the product exceeded its state budget.
-                let compiled = CompiledBxsd::new(&s.bxsd);
-                if compiled.product_states().is_none() {
-                    return Err("--fast: the relevance product exceeds the state budget \
-                         for this schema (Theorem 9); rerun without --fast"
-                        .into());
-                }
+            let compiled = compiled.as_ref().expect("BonXai schemas are compiled");
+            // --fast demands the one-lookup-per-node product path; refuse
+            // to run if the product exceeded its state budget.
+            if has_flag(args, "--fast") && compiled.product_states().is_none() {
+                return Err("--fast: the relevance product exceeds the state budget \
+                     for this schema (Theorem 9); rerun without --fast"
+                    .into());
             }
-            let report = s.validate_with(&doc, opts);
+            // What `BonxaiSchema::validate_with` does, on this compile.
+            let report = ValidationReport {
+                structure: compiled.validate_with(&doc, opts),
+                constraints: check_constraints(&s.ast.constraints, &s.bxsd.ename, &doc),
+            };
             for v in report.violations() {
                 println!("violation: {}", v.kind);
             }
@@ -235,10 +248,11 @@ pub fn validate(args: &[String]) -> Result<ExitCode, String> {
 fn validate_stream(
     args: &[String],
     schema: &AnySchema,
+    compiled: Option<&CompiledBxsd>,
     doc_path: &str,
     opts: ValidateOptions,
 ) -> Result<ExitCode, String> {
-    let AnySchema::Bonxai(s) = schema else {
+    let (AnySchema::Bonxai(s), Some(compiled)) = (schema, compiled) else {
         return Err("--stream supports BonXai schemas only".into());
     };
     if opts.record_matches {
@@ -255,7 +269,6 @@ fn validate_stream(
                 .into(),
         );
     }
-    let compiled = CompiledBxsd::new(&s.bxsd);
     if has_flag(args, "--fast") && compiled.product_states().is_none() {
         return Err("--fast: the relevance product exceeds the state budget \
              for this schema (Theorem 9); rerun without --fast"

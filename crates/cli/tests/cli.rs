@@ -149,6 +149,48 @@ fn validate_stream_agrees_with_tree_validation() {
 }
 
 #[test]
+fn validate_stats_reports_the_compile_that_validates() {
+    // Figure 5 has 14 rules: 14 ancestor DFAs built (and found again by
+    // the product build), one product, 9 distinct content models.
+    let stats = "cache stats (hits/misses): raw 14/14  min 0/0  product 0/1  content 5/9";
+    for extra in [&[][..], &["--stream"][..], &["--lockstep", "--rules"][..]] {
+        let mut args = vec!["validate"];
+        let schema = data("figure5.bonxai");
+        let doc = data("figure1_document.xml");
+        args.extend([schema.as_str(), doc.as_str(), "--stats"]);
+        args.extend_from_slice(extra);
+        let out = run(&args);
+        let text = stdout(&out);
+        assert!(out.status.success(), "{extra:?}: {text}");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.first(), Some(&stats), "{extra:?}: {text}");
+        assert_eq!(lines.last(), Some(&"valid"), "{extra:?}: {text}");
+    }
+    let tmp = std::env::temp_dir().join("bonxai_cli_stats_bad.xml");
+    std::fs::write(&tmp, "<document><content/></document>").expect("writes");
+    let out = run(&[
+        "validate",
+        &data("figure5.bonxai"),
+        tmp.to_str().expect("utf8"),
+        "--stats",
+    ]);
+    let text = stdout(&out);
+    assert!(!out.status.success(), "{text}");
+    assert!(text.starts_with(stats), "{text}");
+    assert!(text.contains("violation"), "{text}");
+    assert!(text.ends_with("INVALID\n"), "{text}");
+    // Only BonXai schemas are compiled through the session.
+    let out = run(&[
+        "validate",
+        &data("figure3.xsd"),
+        &data("figure1_document.xml"),
+        "--stats",
+    ]);
+    assert!(out.status.success());
+    assert_eq!(stdout(&out), "cache stats: (BonXai schemas only)\nvalid\n");
+}
+
+#[test]
 fn validate_stream_flag_conflicts_are_errors() {
     let args_base = [
         "validate",

@@ -18,7 +18,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use relang::{Alphabet, CompiledDre, Sym};
+use relang::{Alphabet, Dfa, StateId, Sym};
 use xmltree::{Document, NodeId};
 
 use crate::lang::ast::PathExpr;
@@ -131,36 +131,25 @@ impl fmt::Display for ConstraintViolation {
 }
 
 /// Checks `constraints` against `doc`. `alphabet` is the schema's element
-/// alphabet (selector patterns are interpreted over it).
+/// alphabet (selector patterns are interpreted over it). Costs nothing
+/// without constraints, and one walk of the document per constraint
+/// otherwise.
 pub fn check_constraints(
     constraints: &[Constraint],
     alphabet: &Alphabet,
     doc: &Document,
 ) -> Vec<ConstraintViolation> {
     let mut violations = Vec::new();
+    if constraints.is_empty() {
+        return violations;
+    }
     // Tuples per key name, collected first so keyrefs can look them up
     // regardless of declaration order.
     let mut key_tuples: BTreeMap<&str, Vec<Vec<String>>> = BTreeMap::new();
-
-    let compiled: Vec<CompiledDre> = constraints
+    let syms: Vec<Option<Sym>> = doc
+        .distinct_names()
         .iter()
-        .map(|c| {
-            let regex = crate::lang::lower::path_to_regex_resolved(&c.selector, alphabet);
-            CompiledDre::compile(&regex, alphabet.len())
-        })
-        .collect();
-
-    // Precompute symbolic ancestor strings once.
-    let paths: Vec<(NodeId, Option<Vec<Sym>>)> = doc
-        .iter_elements()
-        .map(|n| {
-            let path: Option<Vec<Sym>> = doc
-                .anc_str(n)
-                .iter()
-                .map(|name| alphabet.lookup(name))
-                .collect();
-            (n, path)
-        })
+        .map(|n| alphabet.lookup(n))
         .collect();
 
     // Collects the complete tuples of constraint `idx`, reporting missing
@@ -171,16 +160,14 @@ pub fn check_constraints(
             .name
             .clone()
             .unwrap_or_else(|| format!("constraint #{idx}"));
+        let regex = crate::lang::lower::path_to_regex_resolved(&constraint.selector, alphabet);
+        let selector = relang::ops::regex_to_dfa(&regex, alphabet.len());
         let mut out: Vec<(NodeId, Vec<String>)> = Vec::new();
-        for (node, path) in &paths {
-            let Some(path) = path else { continue };
-            if !compiled[idx].matches(path) {
-                continue;
-            }
+        for node in selected(&selector, &syms, doc) {
             let mut tuple = Vec::with_capacity(constraint.fields.len());
             let mut missing = None;
             for field in &constraint.fields {
-                match field_value(doc, *node, field) {
+                match field_value(doc, node, field) {
                     Some(v) => tuple.push(v),
                     None => {
                         missing = Some(field);
@@ -194,12 +181,12 @@ pub fn check_constraints(
                         violations.push(ConstraintViolation::MissingField {
                             constraint: label.clone(),
                             field: field.to_string(),
-                            node: *node,
+                            node,
                         });
                     }
                     // partial tuples do not participate
                 }
-                None => out.push((*node, tuple)),
+                None => out.push((node, tuple)),
             }
         }
         (label, out)
@@ -253,6 +240,31 @@ pub fn check_constraints(
         }
     }
     violations
+}
+
+/// The elements the `selector` DFA accepts the ancestor string of, in
+/// document order: one top-down walk that carries the DFA state along
+/// each path. A name outside the alphabet (`syms`, by name id), or a step
+/// the DFA rejects, ends the path, so nothing below it is selected.
+fn selected(selector: &Dfa, syms: &[Option<Sym>], doc: &Document) -> Vec<NodeId> {
+    let step = |q: StateId, node: NodeId| {
+        let sym = syms[doc.name_id(node)? as usize]?;
+        selector.transition(q, sym)
+    };
+    let mut out = Vec::new();
+    let root = doc.root();
+    let mut stack: Vec<(NodeId, StateId)> = step(selector.initial(), root)
+        .map(|q| (root, q))
+        .into_iter()
+        .collect();
+    while let Some((node, q)) = stack.pop() {
+        if selector.is_final(q) {
+            out.push(node);
+        }
+        let children = doc.children(node).iter().rev();
+        stack.extend(children.filter_map(|&c| Some((c, step(q, c)?))));
+    }
+    out
 }
 
 fn field_value(doc: &Document, node: NodeId, field: &Field) -> Option<String> {
@@ -390,6 +402,111 @@ mod tests {
         let v = check_constraints(&[kref], &alphabet(), &doc);
         assert_eq!(v.len(), 1);
         assert!(matches!(v[0], ConstraintViolation::UnknownKey { .. }));
+    }
+
+    /// Reference selection: every element's whole ancestor string, mapped
+    /// through the alphabet and matched against the compiled selector.
+    /// Quadratic in depth, so it stays a test oracle for `selected`.
+    fn selected_by_anc_str(
+        selector: &PathExpr,
+        alphabet: &Alphabet,
+        doc: &Document,
+    ) -> Vec<NodeId> {
+        let regex = crate::lang::lower::path_to_regex_resolved(selector, alphabet);
+        let matcher = relang::CompiledDre::compile(&regex, alphabet.len());
+        doc.iter_elements()
+            .filter(|&n| {
+                let path: Option<Vec<Sym>> = doc
+                    .anc_str(n)
+                    .iter()
+                    .map(|name| alphabet.lookup(name))
+                    .collect();
+                path.is_some_and(|p| matcher.matches(&p))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn selection_matches_the_ancestor_string_reference_on_edited_documents() {
+        let a = alphabet();
+        let mut doc = doc_with_styles(&["a", "b"], &["a"]);
+        let us = doc.element_children(doc.root()).next().unwrap();
+        let content = doc.element_children(doc.root()).nth(1).unwrap();
+        // Inserted elements get ids after every parsed one, so arena order
+        // and document order part ways; `mystery` is outside the alphabet
+        // and hides the styles below it.
+        let first = doc.insert_child(content, 0, "style");
+        doc.set_attribute(first, "name", "z");
+        let mystery = doc.insert_child(doc.root(), 0, "mystery");
+        doc.add_element(mystery, "style");
+        let nested = doc.insert_child(us, 1, "content");
+        doc.add_text(nested, "text");
+        doc.add_element(nested, "style");
+        let item = doc.insert_child(doc.root(), 1, "item");
+        doc.add_element(item, "item");
+        let anchored = PathExpr::Seq(vec![
+            PathExpr::Name("doc".to_owned()),
+            PathExpr::Name("content".to_owned()),
+            PathExpr::Name("style".to_owned()),
+        ]);
+        let any_item = PathExpr::Seq(vec![
+            PathExpr::AnyChain,
+            PathExpr::Plus(Box::new(PathExpr::Name("item".to_owned()))),
+        ]);
+        let selectors = [
+            selector(&["style"]),
+            selector(&["userstyles", "style"]),
+            selector(&["content", "style"]),
+            PathExpr::Seq(vec![
+                PathExpr::AnyChain,
+                PathExpr::Name("content".to_owned()),
+                PathExpr::AnyChain,
+                PathExpr::Name("style".to_owned()),
+            ]),
+            anchored,
+            any_item,
+            selector(&["mystery", "style"]),
+            PathExpr::AnyChain,
+        ];
+        let syms: Vec<Option<Sym>> = doc.distinct_names().iter().map(|n| a.lookup(n)).collect();
+        for sel in &selectors {
+            let regex = crate::lang::lower::path_to_regex_resolved(sel, &a);
+            let dfa = relang::ops::regex_to_dfa(&regex, a.len());
+            let got = selected(&dfa, &syms, &doc);
+            assert_eq!(got, selected_by_anc_str(sel, &a, &doc), "{sel:?}");
+        }
+        // The edits are visible to the walk, in document order.
+        let all_styles = selected_by_anc_str(&selector(&["style"]), &a, &doc);
+        assert_eq!(all_styles.len(), 5, "{all_styles:?}");
+        assert!(
+            all_styles.windows(2).any(|w| w[0] > w[1]),
+            "ids out of order"
+        );
+    }
+
+    #[test]
+    fn deep_chain_reports_its_one_duplicate() {
+        let mut doc = Document::new("a");
+        let mut at = doc.root();
+        doc.set_attribute(at, "id", "0");
+        for i in 1..20_000 {
+            at = doc.add_element(at, "a");
+            let id = if i == 12_345 { 777 } else { i };
+            doc.set_attribute(at, "id", &id.to_string());
+        }
+        let c = Constraint {
+            name: None,
+            kind: ConstraintKind::Unique,
+            selector: selector(&["a"]),
+            fields: vec![Field::Attribute("id".to_owned())],
+        };
+        let v = check_constraints(&[c], &Alphabet::from_names(["a"]), &doc);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(matches!(
+            &v[0],
+            ConstraintViolation::Duplicate { tuple, nodes: (first, second), .. }
+                if tuple == &["777".to_owned()] && first < second
+        ));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Incremental revalidation: cost proportional to the edit, not the
 //! document.
 //!
-//! The relevance-product run ([`crate::validate`]) is a deterministic
+//! The validation walker ([`crate::validate`]) is a deterministic
 //! top-down state machine over the tree: each element's behaviour is a
 //! function of (its ancestor product state, its attributes, its child
 //! names, its text children). A full run therefore leaves behind
@@ -13,22 +13,23 @@
 //!
 //! ## The dirty-propagation rule
 //!
-//! One *pass* is the per-element unit of work of `run_product`: given
-//! the element's ancestor product state, it derives the relevant rule,
-//! walks the children once (content-DFA stepping, unknown-name
-//! detection with sibling dead-state poisoning, text detection, child
-//! ancestor states), and emits the element's violations. A pass reads
-//! nothing outside its element and the *names* of its children, so its
-//! output can only change if
+//! One *pass* is one element's frame in the walker: given the element's
+//! ancestor product state, it derives the relevant rule, steps its
+//! children (content-DFA stepping, unknown-name detection with sibling
+//! dead-state poisoning, text detection, child ancestor states), and
+//! emits the element's violations when it closes. A pass reads nothing
+//! outside its element and the *names* of its children, so its output
+//! can only change if
 //!
 //! 1. its own ancestor product state changed, or
 //! 2. its attributes, text children, or child list changed — exactly
 //!    what the mutation API logs as [`xmltree::Edit::Dirty`].
 //!
-//! Revalidation therefore re-runs the pass of every logged dirty node,
-//! and from there recurses *downward* only into children whose
-//! recomputed ancestor product state differs from the stored one: a
-//! child whose state is unchanged has an unchanged subtree report.
+//! Revalidation therefore runs the walker from every logged dirty node,
+//! seeded with its memoized state, and lets it descend only into
+//! children whose recomputed ancestor product state differs from the
+//! stored one: a child whose state is unchanged has an unchanged
+//! subtree report.
 //!
 //! ## Why no ancestor walk-up is needed
 //!
@@ -43,15 +44,16 @@
 //!
 //! ## Report identity
 //!
-//! Violations are stored per *generating pass*. Any two violations with
-//! the same `node` come from the same pass (a pass emits at most one
-//! `NoGoverningDefinition` for a child, and a child that triggered one
-//! is dead — relevant rule `None` — so its own pass emits nothing for
-//! itself), so concatenating the per-pass vectors in ascending
-//! generating-node order and stable-sorting by node reproduces the
-//! fresh run's canonically ordered report byte for byte.
-//! `tests/incremental_equivalence.rs` pins this against both the fresh
-//! validator and the oracle.
+//! Violations are stored per *generating pass*: `NoGoverningDefinition`
+//! under the parent whose pass stepped the unknown child, every other
+//! violation under its own node. Any two violations with the same
+//! `node` therefore come from the same pass (a child that triggered a
+//! `NoGoverningDefinition` is dead — relevant rule `None` — so its own
+//! pass emits nothing for itself), so concatenating the per-pass
+//! vectors in ascending generating-node order and stable-sorting by
+//! node reproduces the fresh run's canonically ordered report byte for
+//! byte. `tests/incremental_equivalence.rs` pins this against both the
+//! fresh validator and the oracle.
 //!
 //! Schemas whose relevance product exceeded its budget (Theorem 9
 //! fallback) have no product states to memoize; for them `revalidate`
@@ -61,11 +63,10 @@
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use relang::ops::RelevanceProduct;
-use relang::Sym;
 use xmltree::{Document, Edit, NodeId};
 use xsd::violation::{Violation, ViolationKind};
 
-use crate::validate::{BxsdReport, CompiledBxsd};
+use crate::validate::{BxsdReport, CompiledBxsd, ProductEngine, StreamSink};
 
 /// Sentinel for "no ancestor product state stored" (text node, detached
 /// node, or never visited). Real product states are bounded by the
@@ -158,6 +159,15 @@ impl ValidationState {
             stack.extend_from_slice(doc.children(n));
         }
     }
+
+    /// Starts `node`'s pass: counts it and drops what it emitted before.
+    fn begin_pass(&mut self, node: NodeId) {
+        self.passes += 1;
+        if !self.viols[node.0].is_empty() {
+            self.viols[node.0].clear();
+            self.has_viols.remove(&node);
+        }
+    }
 }
 
 impl CompiledBxsd<'_> {
@@ -227,15 +237,7 @@ impl CompiledBxsd<'_> {
                 _ => None,
             })
             .collect();
-        let syms = self.resolve_names(doc);
-        let mut visited = HashSet::new();
-        for &n in &dirty {
-            if visited.contains(&n) || !is_attached(doc, n) {
-                continue;
-            }
-            debug_assert_ne!(state.anc[n.0], NOT_COMPUTED, "attached ⇒ memoized");
-            self.run_passes(&p, doc, &syms, state, n, &mut visited);
-        }
+        self.replay(&p, doc, state, dirty);
         state.generation = doc.generation();
         state.report()
     }
@@ -274,84 +276,56 @@ impl CompiledBxsd<'_> {
             return;
         };
         state.anc[root.0] = p.step(p.initial(), root_sym);
-        let syms = self.resolve_names(doc);
-        let mut visited = HashSet::new();
-        self.run_passes(&p, doc, &syms, state, root, &mut visited);
+        self.replay(&p, doc, state, [root]);
     }
 
-    /// Re-runs the pass of `start` (whose `state.anc` entry must be
-    /// current) and recurses into exactly those children whose
-    /// recomputed ancestor product state differs from the memo. On a
-    /// fresh state every stored child state is [`NOT_COMPUTED`], so the
-    /// same loop performs the full traversal.
-    fn run_passes(
+    /// Runs the validation walker from each of `starts` (ancestors
+    /// first), seeded with its memoized ancestor state, which must be
+    /// current. The walk enters exactly those children whose recomputed
+    /// state differs from the memo, storing the new state; on a fresh
+    /// state every stored child state is [`NOT_COMPUTED`], so the same
+    /// walk performs the full traversal. A start that an earlier walk
+    /// already re-ran, or that a detach carried away, is skipped.
+    fn replay(
         &self,
         p: &RelevanceProduct,
         doc: &Document,
-        syms: &[Option<Sym>],
         state: &mut ValidationState,
-        start: NodeId,
-        visited: &mut HashSet<NodeId>,
+        starts: impl IntoIterator<Item = NodeId>,
     ) {
-        let mut word: Vec<Sym> = Vec::new();
-        let mut stack = vec![start];
-        while let Some(node) = stack.pop() {
-            visited.insert(node);
-            state.passes += 1;
-            let q = state.anc[node.0];
-            let relevant = p.relevant(q).map(|i| i as usize);
-            // The fused child pass of `run_product`, with child states
-            // diffed against the memo instead of pushed unconditionally.
-            let mut content = self.content_eval(relevant, &mut word);
-            let mut count = 0usize;
-            let mut unknown_at = None;
-            let mut has_text = false;
-            let mut viols = std::mem::take(&mut state.viols[node.0]);
-            viols.clear();
-            for &child in doc.children(node) {
-                let Some(nid) = doc.name_id(child) else {
-                    has_text = has_text
-                        || doc
-                            .text(child)
-                            .is_some_and(|t| !t.chars().all(char::is_whitespace));
-                    continue;
-                };
-                let child_q = if unknown_at.is_some() {
-                    // Sibling dead-state poisoning: children after the
-                    // first unknown name are dead and report nothing.
-                    p.dead()
-                } else {
-                    match syms[nid as usize] {
-                        Some(sym) => {
-                            content.step(sym, count, &mut word);
-                            count += 1;
-                            p.step(q, sym)
-                        }
-                        None => {
-                            viols.push(Violation {
-                                node: child,
-                                kind: ViolationKind::NoGoverningDefinition(
-                                    doc.name(child).expect("element").to_owned(),
-                                ),
-                            });
-                            unknown_at = Some(count);
-                            p.dead()
-                        }
-                    }
-                };
-                if state.anc[child.0] != child_q {
-                    state.anc[child.0] = child_q;
-                    stack.push(child);
+        let eng = ProductEngine(p);
+        let mut sink = StreamSink::new(self, &eng, false);
+        let syms = self.resolve_names(doc);
+        let mut visited = HashSet::new();
+        for start in starts {
+            if visited.contains(&start) || !is_attached(doc, start) {
+                continue;
+            }
+            let q = state.anc[start.0];
+            debug_assert_ne!(q, NOT_COMPUTED, "attached ⇒ memoized");
+            visited.insert(start);
+            state.begin_pass(start);
+            sink.walk(doc, &syms, start, q, |child, &q| {
+                if state.anc[child.0] == q {
+                    return false;
                 }
+                state.anc[child.0] = q;
+                visited.insert(child);
+                state.begin_pass(child);
+                true
+            });
+            for v in sink.drain_violations() {
+                let owner = match v.kind {
+                    ViolationKind::NoGoverningDefinition(_) => {
+                        doc.parent(v.node).expect("an unknown child has a parent")
+                    }
+                    _ => v.node,
+                };
+                if state.viols[owner.0].is_empty() {
+                    state.has_viols.insert(owner);
+                }
+                state.viols[owner.0].push(v);
             }
-            let failed_at = unknown_at.or_else(|| content.finish(count, &word));
-            self.check_node(doc, node, relevant, failed_at, has_text, &mut viols);
-            if viols.is_empty() {
-                state.has_viols.remove(&node);
-            } else {
-                state.has_viols.insert(node);
-            }
-            state.viols[node.0] = viols;
         }
     }
 }
@@ -467,6 +441,15 @@ mod tests {
         assert!(got.is_valid());
         assert_eq!(state.last_passes(), 1, "one dirty leaf, one pass");
         assert!(full_passes > 50);
+        // A dirty parent re-steps its 51 children, but their ancestor
+        // states are unchanged, so none of their passes re-runs.
+        let g = state.generation();
+        d.set_attribute(content, "undeclared", "x");
+        let edits = d.edit_log().unwrap().since(g).to_vec();
+        let got = c.revalidate(&d, &mut state, &edits);
+        assert_eq!(got.violations, c.validate(&d).violations);
+        assert!(!got.is_valid());
+        assert_eq!(state.last_passes(), 1, "one dirty parent, one pass");
     }
 
     #[test]

@@ -2,41 +2,44 @@
 //! with matched-rule reporting (the tool feature from \[19\]: "validate XML
 //! against them and highlights matching rules").
 //!
-//! ## The hot path
+//! ## One walker
 //!
-//! Definition 1 needs, per node, the set of rules whose ancestor pattern
-//! matches `anc-str(v)` and the last ("relevant") one. Two evaluation
-//! strategies are implemented:
+//! Definition 1 makes a node's governing rule a function of its ancestor
+//! string alone, so validation is one top-down frame machine over start,
+//! text and end events: [`StreamSink`] keeps one frame per open element,
+//! steps the parent's content DFA as each child starts, and checks a
+//! node when it ends. Two event sources feed it:
+//!
+//! * an [`XmlReader`] ([`CompiledBxsd::validate_stream`]), which pushes
+//!   events straight off the structural index without building a tree —
+//!   O(depth) memory regardless of document size;
+//! * an arena [`Document`] ([`CompiledBxsd::validate`]), walked
+//!   iteratively by [`StreamSink::walk`], which shapes text children
+//!   exactly as the reader does. The incremental engine
+//!   ([`crate::incremental`]) runs the same walk from dirty nodes,
+//!   entering only children whose memoized ancestor state changed.
+//!
+//! Tree and stream reports are therefore byte-identical by construction:
+//! the tree parser is a fold over the same events, so node ids coincide,
+//! and every path orders violations canonically (stable-sorted by node,
+//! i.e. document order).
+//!
+//! ## Two ancestor engines
 //!
 //! * **Product** (the default): a [`RelevanceProduct`] — the reachable
 //!   synchronized product of all N ancestor DFAs, each state annotated
 //!   with its matching set and relevant rule. Per node this costs a
-//!   *single* transition lookup instead of N, and the tree is walked in
-//!   one pass (child word construction, content checks, and child
-//!   queueing fused). Lemma 7 is the paper-side justification: relevance
-//!   is readable off product states.
+//!   *single* transition lookup instead of N. Lemma 7 is the paper-side
+//!   justification: relevance is readable off product states.
 //! * **Lock-step** (the fallback and the reference): all N DFAs advanced
 //!   side by side, `None` = dead. The product is worst-case exponential
 //!   (Theorem 9), so [`CompiledBxsd::with_budget`] bounds its size and
 //!   falls back to lock-step transparently when the bound is exceeded.
 //!
-//! Both paths produce byte-identical reports — the equivalence proptest
+//! Both engines produce byte-identical reports — the equivalence proptest
 //! in `tests/validate_equivalence.rs` pins that down. Per-node
 //! [`NodeMatch`] recording is opt-in via
 //! [`ValidateOptions::record_matches`]; validation itself never needs it.
-//!
-//! ## Streaming
-//!
-//! Validation is a single top-down pass over ancestor paths (the Section 5
-//! translation machinery evaluates `anc-str(v)` prefix by prefix), so it
-//! needs no tree at all: [`CompiledBxsd::validate_stream`] drives the same
-//! relevance product (or lock-step fallback) directly over the events of
-//! an [`XmlReader`], keeping one frame per *open* element — O(depth)
-//! memory regardless of document size. Reports are byte-identical to the
-//! tree paths because (a) the tree parser is itself a fold over the same
-//! event stream, so node ids coincide by construction, and (b) every path
-//! orders violations canonically (stable-sorted by node, i.e. document
-//! order). `tests/stream_equivalence.rs` pins the equivalence.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -78,7 +81,7 @@ pub struct ValidateOptions {
 }
 
 /// The result of validating a document against a BXSD.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct BxsdReport {
     /// All violations (empty = the document conforms), canonically
     /// ordered: stable-sorted by node id, i.e. document order. The
@@ -99,21 +102,15 @@ impl BxsdReport {
 }
 
 /// A BXSD compiled for repeated validation: one DFA per ancestor
-/// expression, one matcher per content model, and (budget permitting)
-/// the relevance product over the ancestor DFAs.
+/// expression, one matcher per content model, (budget permitting) the
+/// relevance product over the ancestor DFAs, and one [`RuleMeta`] row
+/// per rule.
 pub struct CompiledBxsd<'a> {
     pub(crate) bxsd: &'a Bxsd,
     ancestor_dfas: Vec<Arc<Dfa>>,
-    pub(crate) content_matchers: Vec<Arc<CompiledDre>>,
+    content_matchers: Vec<Arc<CompiledDre>>,
     pub(crate) relevance: Option<Arc<RelevanceProduct>>,
-    /// Per rule: whether its content model declares a required attribute.
-    /// When false and the element carries no attributes at all, the
-    /// attribute check is provably a no-op and is skipped on the hot path.
-    requires_attr: Vec<bool>,
-    /// Per rule: whether significant text under the element is a
-    /// violation (element-only content: not mixed, not open, no simple
-    /// content). Only such frames scan text nodes for non-whitespace.
-    text_sensitive: Vec<bool>,
+    meta: Vec<RuleMeta>,
 }
 
 impl<'a> CompiledBxsd<'a> {
@@ -149,7 +146,7 @@ impl<'a> CompiledBxsd<'a> {
                 None => Arc::new(relang::ops::regex_to_dfa(&r.ancestor, n)),
             })
             .collect();
-        let content_matchers = bxsd
+        let content_matchers: Vec<Arc<CompiledDre>> = bxsd
             .rules
             .iter()
             .map(|r| match cache.as_deref_mut() {
@@ -172,23 +169,18 @@ impl<'a> CompiledBxsd<'a> {
                 }
             }
         };
-        let requires_attr = bxsd
+        let meta = bxsd
             .rules
             .iter()
-            .map(|r| r.content.attributes.iter().any(|a| a.required))
-            .collect();
-        let text_sensitive = bxsd
-            .rules
-            .iter()
-            .map(|r| !r.content.mixed && !r.content.open && r.content.simple_content.is_none())
+            .zip(&content_matchers)
+            .map(|(r, m)| RuleMeta::of(&r.content, m))
             .collect();
         CompiledBxsd {
             bxsd,
             ancestor_dfas,
             content_matchers,
             relevance,
-            requires_attr,
-            text_sensitive,
+            meta,
         }
     }
 
@@ -209,32 +201,34 @@ impl<'a> CompiledBxsd<'a> {
         self.validate_with(doc, ValidateOptions::default())
     }
 
-    /// Validates `doc` with explicit [`ValidateOptions`].
+    /// Validates `doc` with explicit [`ValidateOptions`]: the root check,
+    /// then one [`StreamSink::walk`] over the whole tree.
     pub fn validate_with(&self, doc: &Document, opts: ValidateOptions) -> BxsdReport {
-        let mut report = BxsdReport {
-            violations: Vec::new(),
-            matches: BTreeMap::new(),
-        };
         let root = doc.root();
         let root_name = doc.name(root).expect("root is an element");
         let root_sym = self.bxsd.ename.lookup(root_name);
         let Some(root_sym) = root_sym.filter(|s| self.bxsd.start.contains(s)) else {
-            report.violations.push(Violation {
-                node: root,
-                kind: ViolationKind::RootNotAllowed(root_name.to_owned()),
-            });
-            return report;
+            return BxsdReport {
+                violations: vec![Violation {
+                    node: root,
+                    kind: ViolationKind::RootNotAllowed(root_name.to_owned()),
+                }],
+                matches: BTreeMap::new(),
+            };
         };
-        // Monomorphize over match recording so the no-recording hot path
-        // carries no per-node recording branches.
-        match (&self.relevance, opts.force_lockstep, opts.record_matches) {
-            (Some(p), false, false) => {
-                self.run_product::<false>(p, doc, root, root_sym, &mut report)
+        let mut report = match (&self.relevance, opts.force_lockstep) {
+            (Some(p), false) => {
+                self.walk_tree(&ProductEngine(p), doc, root_sym, opts.record_matches)
             }
-            (Some(p), false, true) => self.run_product::<true>(p, doc, root, root_sym, &mut report),
-            (_, _, false) => self.run_lockstep::<false>(doc, root, root_sym, &mut report),
-            (_, _, true) => self.run_lockstep::<true>(doc, root, root_sym, &mut report),
-        }
+            _ => self.walk_tree(
+                &LockstepEngine {
+                    dfas: &self.ancestor_dfas,
+                },
+                doc,
+                root_sym,
+                opts.record_matches,
+            ),
+        };
         report.violations.sort_by_key(|v| v.node);
         report
     }
@@ -252,210 +246,61 @@ impl<'a> CompiledBxsd<'a> {
     /// Streaming validation with explicit [`ValidateOptions`].
     ///
     /// The report is byte-identical to parsing the same bytes and calling
-    /// [`Self::validate_with`]: node ids are assigned by counting
-    /// `StartElement`/`Text` events, which is exactly the order in which
-    /// the tree parser (itself a fold over the same events) allocates
-    /// arena nodes. Uses the relevance product when available and not
-    /// overridden, with the same transparent lock-step fallback as the
-    /// tree path. Returns `Err` on malformed XML — the analogue of
-    /// failing to parse before tree validation — in which case no report
-    /// exists.
+    /// [`Self::validate_with`]: both run the same [`StreamSink`], and node
+    /// ids are assigned by counting `StartElement`/`Text` events, which is
+    /// exactly the order in which the tree parser (itself a fold over the
+    /// same events) allocates arena nodes. The reader pushes events into
+    /// the sink via [`XmlReader::drive`], fused straight off the
+    /// structural index for the common start/end/text cycle. Returns
+    /// `Err` on malformed XML — the analogue of failing to parse before
+    /// tree validation — in which case no report exists.
     pub fn validate_stream_with<S: ByteSrc>(
         &self,
         reader: &mut XmlReader<S>,
         opts: ValidateOptions,
     ) -> Result<BxsdReport, xmltree::ParseError> {
-        let mut report = BxsdReport {
-            violations: Vec::new(),
-            matches: BTreeMap::new(),
-        };
-        match (&self.relevance, opts.force_lockstep) {
+        let mut report = match (&self.relevance, opts.force_lockstep) {
             (Some(p), false) => {
-                self.run_stream(reader, &ProductEngine(p), opts.record_matches, &mut report)?
+                self.drive_stream(reader, &ProductEngine(p), opts.record_matches)?
             }
-            _ => self.run_stream(
+            _ => self.drive_stream(
                 reader,
                 &LockstepEngine {
                     dfas: &self.ancestor_dfas,
                 },
                 opts.record_matches,
-                &mut report,
             )?,
-        }
+        };
         report.violations.sort_by_key(|v| v.node);
         Ok(report)
     }
 
-    /// Product fast path: one relevance transition per node, one pass over
-    /// each node's children with the relevant rule's content DFA stepped
-    /// inline (no second pass over the child word).
-    fn run_product<const RECORD: bool>(
+    /// One walk over the whole of `doc`, whose root (already checked
+    /// against the start symbols) is `root_sym`.
+    fn walk_tree<E: AncEngine>(
         &self,
-        p: &RelevanceProduct,
+        eng: &E,
         doc: &Document,
-        root: NodeId,
         root_sym: Sym,
-        report: &mut BxsdReport,
-    ) {
+        record: bool,
+    ) -> BxsdReport {
+        let mut sink = StreamSink::new(self, eng, record);
         let syms = self.resolve_names(doc);
-        let mut stack = vec![(root, p.step(p.initial(), root_sym))];
-        let mut word: Vec<Sym> = Vec::new();
-        while let Some((node, q)) = stack.pop() {
-            let relevant = p.relevant(q).map(|i| i as usize);
-            if RECORD {
-                report.matches.insert(
-                    node,
-                    NodeMatch {
-                        matching: p.matching(q).iter().map(|&i| i as usize).collect(),
-                        relevant,
-                    },
-                );
-            }
-
-            // One pass over the children: content-model stepping,
-            // unknown-name detection, text detection, and child queueing.
-            let mut content = self.content_eval(relevant, &mut word);
-            let mut count = 0usize;
-            let mut unknown_at = None;
-            let mut has_text = false;
-            for &child in doc.children(node) {
-                let Some(nid) = doc.name_id(child) else {
-                    has_text = has_text
-                        || doc
-                            .text(child)
-                            .is_some_and(|t| !t.chars().all(char::is_whitespace));
-                    continue;
-                };
-                if unknown_at.is_some() {
-                    stack.push((child, p.dead()));
-                    continue;
-                }
-                match syms[nid as usize] {
-                    Some(sym) => {
-                        content.step(sym, count, &mut word);
-                        count += 1;
-                        stack.push((child, p.step(q, sym)));
-                    }
-                    None => {
-                        report.violations.push(Violation {
-                            node: child,
-                            kind: ViolationKind::NoGoverningDefinition(
-                                doc.name(child).expect("element").to_owned(),
-                            ),
-                        });
-                        unknown_at = Some(count);
-                        stack.push((child, p.dead()));
-                    }
-                }
-            }
-
-            let failed_at = unknown_at.or_else(|| content.finish(count, &word));
-            self.check_node(
-                doc,
-                node,
-                relevant,
-                failed_at,
-                has_text,
-                &mut report.violations,
-            );
-        }
+        let state = eng.start(&mut sink.store, root_sym);
+        sink.walk(doc, &syms, doc.root(), state, |_, _| true);
+        sink.report
     }
 
-    /// Lock-step reference path: every ancestor DFA advanced side by
-    /// side (`None` = dead). Also a single pass over each node's
-    /// children; state vectors are pooled to avoid re-allocating one per
-    /// node.
-    fn run_lockstep<const RECORD: bool>(
+    /// Pushes the events of `reader` through a fresh sink.
+    fn drive_stream<S: ByteSrc, E: AncEngine>(
         &self,
-        doc: &Document,
-        root: NodeId,
-        root_sym: Sym,
-        report: &mut BxsdReport,
-    ) {
-        let n = self.ancestor_dfas.len();
-        let init: Vec<Option<StateId>> = self
-            .ancestor_dfas
-            .iter()
-            .map(|d| d.transition(d.initial(), root_sym))
-            .collect();
-        let syms = self.resolve_names(doc);
-        let mut stack = vec![(root, init)];
-        let mut pool: Vec<Vec<Option<StateId>>> = Vec::new();
-        let mut word: Vec<Sym> = Vec::new();
-        while let Some((node, states)) = stack.pop() {
-            let is_match = |(i, s): (usize, &Option<StateId>)| {
-                s.is_some_and(|q| self.ancestor_dfas[i].is_final(q))
-                    .then_some(i)
-            };
-            let relevant;
-            if RECORD {
-                let matching: Vec<usize> = states.iter().enumerate().filter_map(is_match).collect();
-                relevant = matching.last().copied();
-                report
-                    .matches
-                    .insert(node, NodeMatch { matching, relevant });
-            } else {
-                // No recording requested: find the last matching rule
-                // without materializing the full set.
-                relevant = states.iter().enumerate().rev().find_map(is_match);
-            }
-
-            let mut content = self.content_eval(relevant, &mut word);
-            let mut count = 0usize;
-            let mut unknown_at = None;
-            let mut has_text = false;
-            for &child in doc.children(node) {
-                let Some(nid) = doc.name_id(child) else {
-                    has_text = has_text
-                        || doc
-                            .text(child)
-                            .is_some_and(|t| !t.chars().all(char::is_whitespace));
-                    continue;
-                };
-                let mut next = pool.pop().unwrap_or_default();
-                next.clear();
-                if unknown_at.is_some() {
-                    next.resize(n, None);
-                    stack.push((child, next));
-                    continue;
-                }
-                match syms[nid as usize] {
-                    Some(sym) => {
-                        content.step(sym, count, &mut word);
-                        count += 1;
-                        next.extend(
-                            states
-                                .iter()
-                                .zip(&self.ancestor_dfas)
-                                .map(|(s, d)| s.and_then(|q| d.transition(q, sym))),
-                        );
-                        stack.push((child, next));
-                    }
-                    None => {
-                        report.violations.push(Violation {
-                            node: child,
-                            kind: ViolationKind::NoGoverningDefinition(
-                                doc.name(child).expect("element").to_owned(),
-                            ),
-                        });
-                        unknown_at = Some(count);
-                        next.resize(n, None);
-                        stack.push((child, next));
-                    }
-                }
-            }
-
-            let failed_at = unknown_at.or_else(|| content.finish(count, &word));
-            self.check_node(
-                doc,
-                node,
-                relevant,
-                failed_at,
-                has_text,
-                &mut report.violations,
-            );
-            pool.push(states);
-        }
+        reader: &mut XmlReader<S>,
+        eng: &E,
+        record: bool,
+    ) -> Result<BxsdReport, xmltree::ParseError> {
+        let mut sink = StreamSink::new(self, eng, record);
+        reader.drive(&mut sink)?;
+        Ok(sink.report)
     }
 
     /// Resolves the document's distinct element names against the schema
@@ -468,154 +313,17 @@ impl<'a> CompiledBxsd<'a> {
             .collect()
     }
 
-    /// Sets up per-node content-model evaluation for the relevant rule.
-    /// `word` is the caller's scratch buffer, cleared here when the rare
-    /// buffered fallback is selected.
-    #[inline]
-    pub(crate) fn content_eval<'c>(
-        &'c self,
-        relevant: Option<usize>,
-        word: &mut Vec<Sym>,
-    ) -> ContentEval<'c> {
-        let Some(i) = relevant else {
-            return ContentEval::Skip;
-        };
-        let model = &self.bxsd.rules[i].content;
-        if model.simple_content.is_some() {
-            ContentEval::Simple
-        } else if let Some(dfa) = self.content_matchers[i].as_dfa() {
-            ContentEval::Dfa {
-                dfa,
-                q: dfa.initial(),
-                failed: None,
-            }
-        } else {
-            word.clear();
-            ContentEval::Buffered(self.content_matchers[i].as_ref())
-        }
-    }
-
-    /// Per-node text, attribute, and content-model checks, shared verbatim
-    /// by both evaluation paths so their reports cannot drift apart.
-    /// `has_text` (any non-whitespace text child) and `failed_at` (where
-    /// content matching failed) are computed during the fused child pass
-    /// so the children are only traversed once.
-    pub(crate) fn check_node(
-        &self,
-        doc: &Document,
-        node: NodeId,
-        relevant: Option<usize>,
-        failed_at: Option<usize>,
-        has_text: bool,
-        violations: &mut Vec<Violation>,
-    ) {
-        let Some(i) = relevant else {
-            return;
-        };
-        let model = &self.bxsd.rules[i].content;
-        if model.simple_content.is_some() {
-            xsd::violation::check_text(doc, node, model, violations);
-        } else if !model.mixed && !model.open && has_text {
-            violations.push(Violation {
-                node,
-                kind: ViolationKind::UnexpectedText(doc.name(node).expect("element").to_owned()),
-            });
-        }
-        if !doc.attributes(node).is_empty() || self.requires_attr[i] {
-            xsd::violation::check_attributes(doc, node, model, violations);
-        }
-        if let Some(at) = failed_at {
-            violations.push(Violation {
-                node,
-                kind: ViolationKind::ContentModel {
-                    element: doc.name(node).expect("element").to_owned(),
-                    at,
-                },
-            });
-        }
-    }
-
-    /// The streaming counterpart of `run_product`/`run_lockstep`, generic
-    /// over the ancestor-state engine. The reader *pushes* events into a
-    /// [`StreamSink`] via [`XmlReader::drive`] — the fused loop steps the
-    /// sink straight off the structural index for the common
-    /// start/end/text cycle, falling back to token construction for
-    /// anything irregular. Per start the parent frame's content DFA is
-    /// stepped and a child frame is pushed; per end the finished frame is
-    /// checked and popped. Nothing outside the frame stack (plus a
-    /// per-distinct-name symbol cache) is retained, so memory is
-    /// O(depth), not O(document).
-    fn run_stream<S: ByteSrc, E: AncEngine>(
-        &self,
-        reader: &mut XmlReader<S>,
-        eng: &E,
-        record: bool,
-        report: &mut BxsdReport,
-    ) -> Result<(), xmltree::ParseError> {
-        let meta = self
-            .bxsd
-            .rules
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                let check_attrs = self.requires_attr[i];
-                if r.content.simple_content.is_some() {
-                    return RuleMeta {
-                        dfa: None,
-                        q0: 0,
-                        flags: F_SIMPLE,
-                        interest: TextInterest::Collect,
-                        check_attrs,
-                    };
-                }
-                let dfa = self.content_matchers[i].as_dfa();
-                let mut flags = if dfa.is_none() { F_BUFFERED } else { 0 };
-                let mut interest = TextInterest::Ignore;
-                if self.text_sensitive[i] {
-                    flags |= F_TRACK_TEXT;
-                    interest = TextInterest::NonWhitespace;
-                }
-                RuleMeta {
-                    dfa,
-                    q0: dfa.map_or(0, |d| d.initial() as u32),
-                    flags,
-                    interest,
-                    check_attrs,
-                }
-            })
-            .collect();
-        let mut sink = StreamSink {
-            cx: self,
-            meta,
-            eng,
-            record,
-            report,
-            stack: Vec::with_capacity(16),
-            words: Vec::new(),
-            texts: Vec::new(),
-            attr_stack: Vec::new(),
-            viol_scratch: Vec::new(),
-            spare_viol: Vec::new(),
-            state_pool: Vec::new(),
-            next_node: 0,
-            root_rejected: false,
-            syms: Vec::new(),
-        };
-        reader.drive(&mut sink)
-    }
-
-    /// [`Self::check_node`] over a finished stream frame instead of a
-    /// tree node: same checks, same order, same violations. Attribute
-    /// violations arrive pre-computed (the start tag checked them off
-    /// the borrowed token) and are spliced in at the position the tree
-    /// path reports them: after the text check, before content. The
-    /// vector is drained, not consumed, so the caller can recycle it.
+    /// The per-node check of a closed frame: text, then attributes, then
+    /// content. Attribute violations arrive pre-computed (the frame was
+    /// checked when it opened) and are spliced in between; their vector
+    /// is drained, not consumed, so the caller can recycle it. `name` is
+    /// asked for only when a report needs the element name.
     #[allow(clippy::too_many_arguments)]
-    fn check_stream_node(
+    fn check_stream_node<'n>(
         &self,
         node: NodeId,
-        name: &str,
-        attr_violations: &mut Vec<Violation>,
+        name: impl Fn() -> &'n str,
+        attr_violations: Option<&mut Vec<Violation>>,
         relevant: Option<usize>,
         failed_at: Option<usize>,
         has_text: bool,
@@ -627,19 +335,21 @@ impl<'a> CompiledBxsd<'a> {
         };
         let model = &self.bxsd.rules[i].content;
         if model.simple_content.is_some() {
-            xsd::violation::check_simple_text(node, name, model, text.unwrap_or(""), violations);
+            xsd::violation::check_simple_text(node, name(), model, text.unwrap_or(""), violations);
         } else if !model.mixed && !model.open && has_text {
             violations.push(Violation {
                 node,
-                kind: ViolationKind::UnexpectedText(name.to_owned()),
+                kind: ViolationKind::UnexpectedText(name().to_owned()),
             });
         }
-        violations.append(attr_violations);
+        if let Some(av) = attr_violations {
+            violations.append(av);
+        }
         if let Some(at) = failed_at {
             violations.push(Violation {
                 node,
                 kind: ViolationKind::ContentModel {
-                    element: name.to_owned(),
+                    element: name().to_owned(),
                     at,
                 },
             });
@@ -647,232 +357,183 @@ impl<'a> CompiledBxsd<'a> {
     }
 }
 
-/// Incremental content-model evaluation for one node's children. The
-/// common case steps the relevant rule's content DFA child by child; the
-/// rare non-DFA matchers (`xs:all`, huge counters) buffer the child word
-/// and decide at [`ContentEval::finish`].
-pub(crate) enum ContentEval<'a> {
-    /// No relevant rule: the node is unconstrained (Definition 1).
-    Skip,
-    /// Simple content: any element child at all fails at position 0.
-    Simple,
-    /// Content DFA stepped inline; `failed` is the first dead position.
-    Dfa {
-        dfa: &'a Dfa,
-        q: StateId,
-        failed: Option<usize>,
-    },
-    /// Buffered fallback, resolved via [`CompiledDre::first_error`].
-    Buffered(&'a CompiledDre),
-}
-
-impl ContentEval<'_> {
-    /// Consumes the `pos`-th known element child.
-    #[inline]
-    pub(crate) fn step(&mut self, sym: Sym, pos: usize, word: &mut Vec<Sym>) {
-        match self {
-            ContentEval::Skip | ContentEval::Simple => {}
-            ContentEval::Dfa { dfa, q, failed } => {
-                if failed.is_none() {
-                    match dfa.transition(*q, sym) {
-                        Some(t) => *q = t,
-                        None => *failed = Some(pos),
-                    }
-                }
-            }
-            ContentEval::Buffered(_) => word.push(sym),
-        }
-    }
-
-    /// Where content matching failed, `None` if the child word matches.
-    /// Exactly [`CompiledDre::first_error`] over the known-child word.
-    #[inline]
-    pub(crate) fn finish(self, count: usize, word: &[Sym]) -> Option<usize> {
-        match self {
-            ContentEval::Skip => None,
-            ContentEval::Simple => (count > 0).then_some(0),
-            ContentEval::Dfa { dfa, q, failed } => {
-                failed.or_else(|| (!dfa.is_final(q)).then_some(count))
-            }
-            ContentEval::Buffered(m) => m.first_error(word),
-        }
-    }
-}
-
-/// Ancestor-state evaluation strategy for the streaming validator —
-/// the same two strategies as the tree paths (`run_product` /
-/// `run_lockstep`), expressed per transition so one frame-stack driver
-/// serves both.
-trait AncEngine {
-    /// The per-element ancestor state (a single product state, or one
-    /// `Option<StateId>` per ancestor DFA in lock-step).
+/// Ancestor-state evaluation strategy of the walker, expressed per
+/// transition so one frame machine serves both engines. States that need
+/// storage keep it in the engine's [`AncEngine::Store`], which the sink
+/// owns; the walker creates and retires states in stack order.
+pub(crate) trait AncEngine {
+    /// The per-element ancestor state (a product state, or where a
+    /// lock-step tuple sits in the store).
     type State;
+    /// Storage behind the live states (nothing for the product).
+    type Store: Default;
     /// State of the root element (its ancestor string is `root_sym`).
-    fn start(&self, root_sym: Sym) -> Self::State;
+    fn start(&self, store: &mut Self::Store, root_sym: Sym) -> Self::State;
     /// State of a child reached by `sym` from `parent`.
-    fn child(&self, parent: &Self::State, sym: Sym) -> Self::State;
+    fn child(&self, store: &mut Self::Store, parent: &Self::State, sym: Sym) -> Self::State;
     /// The absorbing dead state (below unknown-named elements).
-    fn dead(&self) -> Self::State;
+    fn dead(&self, store: &mut Self::Store) -> Self::State;
     /// The relevant (last matching) rule in `q`, per Definition 1.
-    fn relevant(&self, q: &Self::State) -> Option<usize>;
+    fn relevant(&self, store: &Self::Store, q: &Self::State) -> Option<usize>;
     /// All matching rules in `q`, in schema order.
-    fn matching(&self, q: &Self::State) -> Vec<usize>;
-
-    /// [`Self::child`] drawing storage from `pool` where the state type
-    /// allocates. The default ignores the pool (POD states).
+    fn matching(&self, store: &Self::Store, q: &Self::State) -> Vec<usize>;
+    /// Releases `q`, the most recently created live state.
     #[inline]
-    fn child_with(
-        &self,
-        parent: &Self::State,
-        sym: Sym,
-        _pool: &mut Vec<Self::State>,
-    ) -> Self::State {
-        self.child(parent, sym)
-    }
-
-    /// [`Self::dead`] drawing storage from `pool`.
-    #[inline]
-    fn dead_with(&self, _pool: &mut Vec<Self::State>) -> Self::State {
-        self.dead()
-    }
-
-    /// Returns a finished state's storage to `pool` for reuse. No-op for
-    /// POD states.
-    #[inline]
-    fn retire(&self, _state: Self::State, _pool: &mut Vec<Self::State>) {}
+    fn retire(&self, _store: &mut Self::Store, _q: Self::State) {}
 }
 
 /// Relevance-product engine: one table lookup per transition (Lemma 7).
-struct ProductEngine<'a>(&'a RelevanceProduct);
+pub(crate) struct ProductEngine<'a>(pub(crate) &'a RelevanceProduct);
 
 impl AncEngine for ProductEngine<'_> {
     type State = ProductState;
+    type Store = ();
 
-    fn start(&self, root_sym: Sym) -> ProductState {
+    fn start(&self, _: &mut (), root_sym: Sym) -> ProductState {
         self.0.step(self.0.initial(), root_sym)
     }
 
-    fn child(&self, parent: &ProductState, sym: Sym) -> ProductState {
+    fn child(&self, _: &mut (), parent: &ProductState, sym: Sym) -> ProductState {
         self.0.step(*parent, sym)
     }
 
-    fn dead(&self) -> ProductState {
+    fn dead(&self, _: &mut ()) -> ProductState {
         self.0.dead()
     }
 
-    fn relevant(&self, q: &ProductState) -> Option<usize> {
+    fn relevant(&self, _: &(), q: &ProductState) -> Option<usize> {
         self.0.relevant(*q).map(|i| i as usize)
     }
 
-    fn matching(&self, q: &ProductState) -> Vec<usize> {
+    fn matching(&self, _: &(), q: &ProductState) -> Vec<usize> {
         self.0.matching(*q).iter().map(|&i| i as usize).collect()
     }
 }
 
-/// Lock-step engine: all N ancestor DFAs advanced side by side
-/// (`None` = dead), used when the product exceeded its budget.
+/// Lock-step engine: all N ancestor DFAs advanced side by side, used
+/// when the product exceeded its budget. The live N-tuples sit back to
+/// back in one flat store, innermost last, so a walk allocates nothing
+/// per element; a state is its tuple's offset in the store.
 struct LockstepEngine<'a> {
     dfas: &'a [Arc<Dfa>],
 }
 
-impl AncEngine for LockstepEngine<'_> {
-    type State = Vec<Option<StateId>>;
+/// A lock-step component whose DFA has died.
+const DEAD: u32 = u32::MAX;
 
-    fn start(&self, root_sym: Sym) -> Self::State {
-        self.dfas
-            .iter()
-            .map(|d| d.transition(d.initial(), root_sym))
-            .collect()
-    }
-
-    fn child(&self, parent: &Self::State, sym: Sym) -> Self::State {
-        parent
+impl LockstepEngine<'_> {
+    /// The rules whose ancestor DFA accepts in the tuple at `q`, in
+    /// schema order.
+    fn accepting<'s>(
+        &'s self,
+        store: &'s [u32],
+        q: usize,
+    ) -> impl DoubleEndedIterator<Item = usize> + 's {
+        store[q..q + self.dfas.len()]
             .iter()
             .zip(self.dfas)
-            .map(|(s, d)| s.and_then(|q| d.transition(q, sym)))
-            .collect()
-    }
-
-    fn dead(&self) -> Self::State {
-        vec![None; self.dfas.len()]
-    }
-
-    fn relevant(&self, q: &Self::State) -> Option<usize> {
-        q.iter()
             .enumerate()
-            .rev()
-            .find_map(|(i, s)| s.is_some_and(|q| self.dfas[i].is_final(q)).then_some(i))
-    }
-
-    fn matching(&self, q: &Self::State) -> Vec<usize> {
-        q.iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.is_some_and(|q| self.dfas[i].is_final(q)).then_some(i))
-            .collect()
-    }
-
-    fn child_with(
-        &self,
-        parent: &Self::State,
-        sym: Sym,
-        pool: &mut Vec<Self::State>,
-    ) -> Self::State {
-        let mut v = pool.pop().unwrap_or_default();
-        v.clear();
-        v.extend(
-            parent
-                .iter()
-                .zip(self.dfas)
-                .map(|(s, d)| s.and_then(|q| d.transition(q, sym))),
-        );
-        v
-    }
-
-    fn dead_with(&self, pool: &mut Vec<Self::State>) -> Self::State {
-        let mut v = pool.pop().unwrap_or_default();
-        v.clear();
-        v.resize(self.dfas.len(), None);
-        v
-    }
-
-    fn retire(&self, state: Self::State, pool: &mut Vec<Self::State>) {
-        pool.push(state);
+            .filter_map(|(i, (&s, d))| (s != DEAD && d.is_final(s as StateId)).then_some(i))
     }
 }
 
-// Flag bits of [`HotFrame::flags`]. Together with `relevant`, `dfa`,
-// and `q` they encode what `ContentEval` + the old frame's Option/bool
-// fields encoded, in one byte.
+/// One component's step: `s` read `sym`.
+fn lockstep_next(d: &Dfa, s: u32, sym: Sym) -> u32 {
+    if s == DEAD {
+        return DEAD;
+    }
+    d.transition(s as StateId, sym).map_or(DEAD, |t| t as u32)
+}
+
+impl AncEngine for LockstepEngine<'_> {
+    type State = usize;
+    type Store = Vec<u32>;
+
+    fn start(&self, store: &mut Vec<u32>, root_sym: Sym) -> usize {
+        let at = store.len();
+        store.extend(
+            self.dfas
+                .iter()
+                .map(|d| lockstep_next(d, d.initial() as u32, root_sym)),
+        );
+        at
+    }
+
+    fn child(&self, store: &mut Vec<u32>, parent: &usize, sym: Sym) -> usize {
+        let at = store.len();
+        store.extend_from_within(*parent..*parent + self.dfas.len());
+        for (s, d) in store[at..].iter_mut().zip(self.dfas) {
+            *s = lockstep_next(d, *s, sym);
+        }
+        at
+    }
+
+    fn dead(&self, store: &mut Vec<u32>) -> usize {
+        let at = store.len();
+        store.resize(at + self.dfas.len(), DEAD);
+        at
+    }
+
+    fn relevant(&self, store: &Vec<u32>, q: &usize) -> Option<usize> {
+        self.accepting(store, *q).next_back()
+    }
+
+    fn matching(&self, store: &Vec<u32>, q: &usize) -> Vec<usize> {
+        self.accepting(store, *q).collect()
+    }
+
+    fn retire(&self, store: &mut Vec<u32>, q: usize) {
+        debug_assert_eq!(
+            store.len(),
+            q + self.dfas.len(),
+            "states retire in stack order"
+        );
+        store.truncate(q);
+    }
+}
+
+// Flag bits of [`HotFrame::flags`]. Together with `relevant`, `dfa`, and
+// `q` they encode a frame's content-model evaluation in one byte.
 /// Element-only content: text nodes must be scanned for non-whitespace.
 const F_TRACK_TEXT: u8 = 1 << 0;
 /// Non-whitespace text was seen among the children.
 const F_HAS_TEXT: u8 = 1 << 1;
 /// Simple content: any element child fails at position 0; child text
-/// accumulates in the `texts` side table for the type check.
+/// accumulates on the sink's `texts` stack for the type check.
 const F_SIMPLE: u8 = 1 << 2;
-/// Buffered content fallback: the child word accumulates in the `words`
-/// side table, resolved via `CompiledDre::first_error` at the end tag.
+/// Buffered content fallback: the child word accumulates on the sink's
+/// `words` stack, resolved via `CompiledDre::first_error` at the close.
 const F_BUFFERED: u8 = 1 << 3;
 /// The content DFA died; `fail_pos` holds the position.
 const F_FAILED_DFA: u8 = 1 << 4;
 /// An unknown-named child was seen; `fail_pos` holds its position
-/// (overwriting any earlier DFA failure — unknown children win, exactly
-/// as `unknown_at.or_else(...)` did).
+/// (overwriting any earlier DFA failure: unknown children win).
 const F_FAILED_UNKNOWN: u8 = 1 << 5;
-/// This frame parked a non-empty attribute-violation vector on the
-/// sink's `attr_stack`.
+/// This frame parked its attribute violations on the sink's `attrs`
+/// stack.
 const F_ATTR_VIOL: u8 = 1 << 6;
+
+/// The text a frame with `flags` needs: all of it for simple content,
+/// whether any is significant for element-only content, none otherwise.
+fn interest(flags: u8) -> TextInterest {
+    if flags & F_SIMPLE != 0 {
+        TextInterest::Collect
+    } else if flags & F_TRACK_TEXT != 0 {
+        TextInterest::NonWhitespace
+    } else {
+        TextInterest::Ignore
+    }
+}
 
 /// `relevant` value for "no matching rule" (Definition 1: unconstrained).
 const NO_RULE: u32 = u32::MAX;
 
-/// The hot per-open-element state of the streaming validator — the part
-/// that is pushed, mutated, and popped on every element. The old
-/// `StreamFrame` carried its cold storage (violation vectors, child
-/// words, accumulated text) inline, moving ~150 bytes per push/pop;
-/// those now live in depth-indexed side tables on [`StreamSink`], and
-/// what remains is small enough to stay in cache (a compile-time
-/// assertion below pins the size for both engines).
+/// The hot per-open-element state of the walker — the part that is
+/// pushed, mutated, and popped on every element. Cold storage (child
+/// words, accumulated text, violation vectors) lives on the sink's
+/// [`BufStack`]s, taken only by the frames that need it, so what remains
+/// is small enough to stay in cache (a compile-time assertion below pins
+/// the size for both engines).
 struct HotFrame<'c, St> {
     node: NodeId,
     /// Content DFA of the relevant rule, stepped inline via `q`
@@ -899,77 +560,373 @@ struct HotFrame<'c, St> {
 // bench JSON reports the same numbers, so regressions show up in
 // BENCH_validation.json too.
 const _: () = assert!(std::mem::size_of::<HotFrame<'static, ProductState>>() <= 64);
-const _: () = assert!(std::mem::size_of::<HotFrame<'static, Vec<Option<StateId>>>>() <= 64);
+const _: () = assert!(std::mem::size_of::<HotFrame<'static, usize>>() <= 64);
 
 /// Hot-frame sizes in bytes, `(product engine, lock-step engine)` —
 /// exported so the bench harness records frame-layout regressions.
 pub fn stream_frame_sizes() -> (usize, usize) {
     (
         std::mem::size_of::<HotFrame<'static, ProductState>>(),
-        std::mem::size_of::<HotFrame<'static, Vec<Option<StateId>>>>(),
+        std::mem::size_of::<HotFrame<'static, usize>>(),
     )
 }
 
-/// Per-rule frame-setup decisions, precomputed once per stream so the
-/// start-tag hot path reads one row instead of chasing four separate
-/// tables (`rules[i].content`, `content_matchers[i]`,
-/// `text_sensitive[i]`, `requires_attr[i]`).
-struct RuleMeta<'c> {
-    /// Content DFA to step inline, from `initial()` = `q0`.
-    dfa: Option<&'c Dfa>,
-    q0: u32,
+/// Per-rule frame-setup decisions, computed once per compile so opening
+/// a frame reads one row instead of inspecting the rule's content model.
+#[derive(Clone, Copy)]
+struct RuleMeta {
     /// Initial frame flags: [`F_SIMPLE`] / [`F_BUFFERED`] /
-    /// [`F_TRACK_TEXT`] as the rule's content model dictates.
+    /// [`F_TRACK_TEXT`] as the rule's content model dictates. Neither of
+    /// the first two set: the matcher is a DFA, stepped inline.
     flags: u8,
-    interest: TextInterest,
     /// The rule has a required attribute, so the (possibly empty)
     /// attribute list must be checked.
     check_attrs: bool,
 }
 
-/// The streaming validator as an [`EventSink`]: [`XmlReader::drive`]
-/// pushes start/end/text events into it, fused straight off the
-/// structural index where possible. Holds the hot frame stack plus the
-/// cold side tables the frames index by depth.
-struct StreamSink<'v, 'c, E: AncEngine> {
+impl RuleMeta {
+    fn of(model: &xsd::ContentModel, matcher: &CompiledDre) -> RuleMeta {
+        let check_attrs = model.attributes.iter().any(|a| a.required);
+        if model.simple_content.is_some() {
+            return RuleMeta {
+                flags: F_SIMPLE,
+                check_attrs,
+            };
+        }
+        let mut flags = if matcher.as_dfa().is_none() {
+            F_BUFFERED
+        } else {
+            0
+        };
+        if !model.mixed && !model.open {
+            flags |= F_TRACK_TEXT;
+        }
+        RuleMeta { flags, check_attrs }
+    }
+}
+
+/// A buffer a [`BufStack`] recycles.
+trait Buf: Default {
+    fn clear(&mut self);
+}
+
+impl<T> Buf for Vec<T> {
+    fn clear(&mut self) {
+        Vec::clear(self);
+    }
+}
+
+impl Buf for String {
+    fn clear(&mut self) {
+        String::clear(self);
+    }
+}
+
+/// A stack of buffers, one per open frame that needs one, innermost
+/// last. Popped buffers keep their allocation for the next push, so a
+/// walk allocates only while the stack reaches a new height.
+#[derive(Default)]
+struct BufStack<T> {
+    bufs: Vec<T>,
+    live: usize,
+}
+
+impl<T: Buf> BufStack<T> {
+    /// Pushes an empty buffer.
+    fn push(&mut self) -> &mut T {
+        if self.live == self.bufs.len() {
+            self.bufs.push(T::default());
+        }
+        let top = &mut self.bufs[self.live];
+        self.live += 1;
+        top.clear();
+        top
+    }
+
+    /// The innermost buffer.
+    fn top(&mut self) -> &mut T {
+        &mut self.bufs[self.live - 1]
+    }
+
+    fn pop(&mut self) {
+        self.live -= 1;
+    }
+}
+
+/// The validation walker: a frame stack over start, text and end events,
+/// plus the buffers of the frames that need one. Every validation path
+/// drives one: the reader through the [`EventSink`] adapter, arena
+/// documents through [`Self::walk`].
+pub(crate) struct StreamSink<'c, E: AncEngine> {
     cx: &'c CompiledBxsd<'c>,
-    /// One row per rule; see [`RuleMeta`].
-    meta: Vec<RuleMeta<'c>>,
     eng: &'c E,
     record: bool,
-    report: &'v mut BxsdReport,
+    /// Violations in discovery order (unsorted) and recorded matches.
+    report: BxsdReport,
     stack: Vec<HotFrame<'c, E::State>>,
-    /// Child word per depth, used only by [`F_BUFFERED`] frames.
-    words: Vec<Vec<Sym>>,
-    /// Accumulated child text per depth, used only by [`F_SIMPLE`] frames.
-    texts: Vec<String>,
-    /// Parked attribute violations of [`F_ATTR_VIOL`] frames, LIFO.
-    /// Almost always empty: valid attribute lists park nothing.
-    attr_stack: Vec<Vec<Violation>>,
-    /// The attribute check's working vector — empty between events, so
-    /// the clean (no-violation) path touches no pool at all; a verdict
-    /// is moved onto `attr_stack` only when non-empty.
-    viol_scratch: Vec<Violation>,
-    /// Recycled violation vectors backing `viol_scratch` refills.
-    spare_viol: Vec<Vec<Violation>>,
-    /// Recycled ancestor-state storage (lock-step `Vec`s; unused by the
-    /// POD product states).
-    state_pool: Vec<E::State>,
-    /// Next node id, counting element and text nodes in event order —
-    /// the arena allocation order of the tree parser.
+    /// Child words of the open [`F_BUFFERED`] frames.
+    words: BufStack<Vec<Sym>>,
+    /// Accumulated child text of the open [`F_SIMPLE`] frames.
+    texts: BufStack<String>,
+    /// Attribute violations of the open [`F_ATTR_VIOL`] frames, parked
+    /// until their close. Almost always empty: valid attribute lists
+    /// park nothing.
+    attrs: BufStack<Vec<Violation>>,
+    /// Storage behind the open frames' ancestor states.
+    store: E::Store,
+    /// Reader adapter: next node id, counting element and text nodes in
+    /// event order — the arena allocation order of the tree parser.
     next_node: usize,
-    /// A rejected root mirrors the tree path's early return: the rest
-    /// of the document is drained (malformed XML must still error) but
-    /// produces no further violations or matches.
+    /// Reader adapter: a rejected root mirrors the tree path's early
+    /// return — the rest of the document is drained (malformed XML must
+    /// still error) but produces no further violations or matches.
     root_rejected: bool,
-    /// Streaming analogue of `resolve_names`: the reader's dense
-    /// first-occurrence `NameId`s index straight into this side table,
-    /// so after an element name's first occurrence the match path is
-    /// one array load — no hashing, no string compare.
+    /// Reader adapter: the reader's dense first-occurrence `NameId`s
+    /// index straight into this side table, so after an element name's
+    /// first occurrence the match path is one array load — no hashing,
+    /// no string compare.
     syms: Vec<Option<Sym>>,
 }
 
-impl<E: AncEngine> EventSink for StreamSink<'_, '_, E> {
+impl<'c, E: AncEngine> StreamSink<'c, E> {
+    pub(crate) fn new(cx: &'c CompiledBxsd<'c>, eng: &'c E, record: bool) -> Self {
+        StreamSink {
+            cx,
+            eng,
+            record,
+            report: BxsdReport::default(),
+            stack: Vec::with_capacity(16),
+            words: BufStack::default(),
+            texts: BufStack::default(),
+            attrs: BufStack::default(),
+            store: E::Store::default(),
+            next_node: 0,
+            root_rejected: false,
+            syms: Vec::new(),
+        }
+    }
+
+    /// The violations found so far, in discovery order.
+    pub(crate) fn drain_violations(&mut self) -> std::vec::Drain<'_, Violation> {
+        self.report.violations.drain(..)
+    }
+
+    /// The open frame's step for its next element child `node`, named
+    /// `name` (`sym`: its schema symbol, `None` outside the alphabet):
+    /// the content-DFA step and, for an unknown name, the
+    /// `NoGoverningDefinition` violation plus poisoning of the remaining
+    /// siblings. Returns the child's ancestor state.
+    fn step(&mut self, node: NodeId, name: &str, sym: Option<Sym>) -> E::State {
+        let parent = self.stack.last_mut().expect("a child has an open parent");
+        if parent.flags & F_FAILED_UNKNOWN != 0 {
+            return self.eng.dead(&mut self.store);
+        }
+        let Some(sym) = sym else {
+            self.report.violations.push(Violation {
+                node,
+                kind: ViolationKind::NoGoverningDefinition(name.to_owned()),
+            });
+            parent.flags |= F_FAILED_UNKNOWN;
+            parent.fail_pos = parent.count;
+            return self.eng.dead(&mut self.store);
+        };
+        if let Some(dfa) = parent.dfa {
+            if parent.flags & F_FAILED_DFA == 0 {
+                match dfa.transition(parent.q as StateId, sym) {
+                    Some(t) => parent.q = t as u32,
+                    None => {
+                        parent.flags |= F_FAILED_DFA;
+                        parent.fail_pos = parent.count;
+                    }
+                }
+            }
+        } else if parent.flags & F_BUFFERED != 0 {
+            self.words.top().push(sym);
+        }
+        parent.count = parent.count.saturating_add(1);
+        self.eng.child(&mut self.store, &parent.state, sym)
+    }
+
+    /// Opens a frame for element `node` in ancestor state `state`, given
+    /// its `(name, value)` attribute pairs (`has_attrs`: whether there
+    /// are any, which the callers know without decoding one): records
+    /// its matches, checks the attributes against the relevant rule
+    /// (parking any violations until [`Self::close`], where the per-node
+    /// order puts them), and returns the text interest of the frame.
+    fn open<'a>(
+        &mut self,
+        node: NodeId,
+        state: E::State,
+        attrs: impl Iterator<Item = (&'a str, &'a str)> + Clone,
+        has_attrs: bool,
+    ) -> TextInterest {
+        let relevant = self.eng.relevant(&self.store, &state);
+        if self.record {
+            self.report.matches.insert(
+                node,
+                NodeMatch {
+                    matching: self.eng.matching(&self.store, &state),
+                    relevant,
+                },
+            );
+        }
+        let mut flags = 0u8;
+        let mut dfa = None;
+        let mut q = 0u32;
+        if let Some(i) = relevant {
+            let m = self.cx.meta[i];
+            flags = m.flags;
+            if flags & F_SIMPLE != 0 {
+                // Text is only accumulated where it will be checked
+                // (simple content), so arbitrary amounts of ignored
+                // text cannot grow the buffers.
+                self.texts.push();
+            } else if flags & F_BUFFERED != 0 {
+                self.words.push();
+            } else {
+                dfa = self.cx.content_matchers[i].as_dfa();
+                q = dfa.map_or(0, |d| d.initial() as u32);
+            }
+            if m.check_attrs || has_attrs {
+                let parked = self.attrs.push();
+                let model = &self.cx.bxsd.rules[i].content;
+                xsd::violation::check_attribute_pairs(node, attrs, model, parked);
+                if parked.is_empty() {
+                    self.attrs.pop();
+                } else {
+                    flags |= F_ATTR_VIOL;
+                }
+            }
+        }
+        self.stack.push(HotFrame {
+            node,
+            dfa,
+            state,
+            relevant: relevant.map_or(NO_RULE, |i| i as u32),
+            count: 0,
+            q,
+            fail_pos: 0,
+            flags,
+        });
+        interest(flags)
+    }
+
+    /// Closes the innermost frame, element `name`: resolves where its
+    /// content failed and runs the per-node check.
+    fn close<'n>(&mut self, name: impl Fn() -> &'n str) {
+        let frame = self.stack.pop().expect("events are well nested");
+        let relevant = (frame.relevant != NO_RULE).then_some(frame.relevant as usize);
+        let failed_at = if frame.flags & F_FAILED_UNKNOWN != 0 {
+            Some(frame.fail_pos as usize)
+        } else if frame.flags & F_SIMPLE != 0 {
+            (frame.count > 0).then_some(0)
+        } else if let Some(dfa) = frame.dfa {
+            if frame.flags & F_FAILED_DFA != 0 {
+                Some(frame.fail_pos as usize)
+            } else {
+                (!dfa.is_final(frame.q as StateId)).then_some(frame.count as usize)
+            }
+        } else if frame.flags & F_BUFFERED != 0 {
+            let i = frame.relevant as usize;
+            self.cx.content_matchers[i].first_error(self.words.top())
+        } else {
+            None
+        };
+        self.cx.check_stream_node(
+            frame.node,
+            name,
+            (frame.flags & F_ATTR_VIOL != 0).then(|| self.attrs.top()),
+            relevant,
+            failed_at,
+            frame.flags & F_HAS_TEXT != 0,
+            (frame.flags & F_SIMPLE != 0).then(|| self.texts.top().as_str()),
+            &mut self.report.violations,
+        );
+        if frame.flags & F_ATTR_VIOL != 0 {
+            self.attrs.pop();
+        }
+        if frame.flags & F_SIMPLE != 0 {
+            self.texts.pop();
+        }
+        if frame.flags & F_BUFFERED != 0 {
+            self.words.pop();
+        }
+        self.eng.retire(&mut self.store, frame.state);
+    }
+
+    /// One text child of the innermost frame, shaped by its interest.
+    fn feed_text(&mut self, chunk: TextChunk<'_>) {
+        let frame = self
+            .stack
+            .last_mut()
+            .expect("text only occurs inside the root");
+        match chunk {
+            TextChunk::NonWs(true) => frame.flags |= F_HAS_TEXT,
+            TextChunk::NonWs(false) | TextChunk::Skipped => {}
+            TextChunk::Collect(t) => self.texts.top().push_str(t),
+        }
+    }
+
+    /// [`Self::open`] for an arena element.
+    fn open_arena(&mut self, doc: &Document, node: NodeId, state: E::State) {
+        let attrs = doc.attributes(node);
+        let pairs = attrs.iter().map(|a| (a.name.as_str(), a.value.as_str()));
+        self.open(node, state, pairs, !attrs.is_empty());
+    }
+
+    /// Walks the arena subtree of `start`, which opens in ancestor state
+    /// `state`, in document order: each text child is shaped by the open
+    /// frame's [`TextInterest`] exactly as the reader shapes it, and each
+    /// element child is stepped by its parent and entered only if
+    /// `descend(child, &its_state)` says so. `syms` is
+    /// [`CompiledBxsd::resolve_names`] of `doc`. Iterative, so document
+    /// depth costs heap, not call stack.
+    pub(crate) fn walk(
+        &mut self,
+        doc: &Document,
+        syms: &[Option<Sym>],
+        start: NodeId,
+        state: E::State,
+        mut descend: impl FnMut(NodeId, &E::State) -> bool,
+    ) {
+        self.open_arena(doc, start, state);
+        // Per open frame: its remaining children.
+        let mut open = Vec::with_capacity(16);
+        open.push(doc.children(start).iter());
+        while let Some(children) = open.last_mut() {
+            let Some(&child) = children.next() else {
+                open.pop();
+                let node = self.stack.last().expect("a frame per cursor").node;
+                self.close(|| doc.name(node).expect("frames are elements"));
+                continue;
+            };
+            let Some(id) = doc.name_id(child) else {
+                let text = doc.text(child).expect("non-element children are text");
+                let flags = self.stack.last().expect("a frame per cursor").flags;
+                self.feed_text(match interest(flags) {
+                    TextInterest::Ignore => TextChunk::Skipped,
+                    TextInterest::NonWhitespace => {
+                        TextChunk::NonWs(text.chars().any(|c| !c.is_whitespace()))
+                    }
+                    TextInterest::Collect => TextChunk::Collect(text),
+                });
+                continue;
+            };
+            let name = doc.name(child).expect("named children are elements");
+            let q = self.step(child, name, syms[id as usize]);
+            if descend(child, &q) {
+                self.open_arena(doc, child, q);
+                open.push(doc.children(child).iter());
+            } else {
+                self.eng.retire(&mut self.store, q);
+            }
+        }
+    }
+}
+
+/// The reader's adapter: counts node ids in event order, checks the root
+/// against the start symbols, and caches each `NameId`'s symbol.
+impl<E: AncEngine> EventSink for StreamSink<'_, E> {
     fn start_element(
         &mut self,
         name: &str,
@@ -990,46 +947,9 @@ impl<E: AncEngine> EventSink for StreamSink<'_, '_, E> {
             self.syms.push(self.cx.bxsd.ename.lookup(name));
         }
         let sym = self.syms[idx];
-        let depth = self.stack.len();
-        let state = if let Some(parent) = self.stack.last_mut() {
-            if parent.flags & F_FAILED_UNKNOWN != 0 {
-                self.eng.dead_with(&mut self.state_pool)
-            } else {
-                match sym {
-                    Some(sym) => {
-                        // The parent's content step, inlined off the
-                        // frame fields (what `ContentEval::step` did).
-                        if let Some(dfa) = parent.dfa {
-                            if parent.flags & F_FAILED_DFA == 0 {
-                                match dfa.transition(parent.q as StateId, sym) {
-                                    Some(t) => parent.q = t as u32,
-                                    None => {
-                                        parent.flags |= F_FAILED_DFA;
-                                        parent.fail_pos = parent.count;
-                                    }
-                                }
-                            }
-                        } else if parent.flags & F_BUFFERED != 0 {
-                            self.words[depth - 1].push(sym);
-                        }
-                        parent.count = parent.count.saturating_add(1);
-                        self.eng
-                            .child_with(&parent.state, sym, &mut self.state_pool)
-                    }
-                    None => {
-                        self.report.violations.push(Violation {
-                            node,
-                            kind: ViolationKind::NoGoverningDefinition(name.to_owned()),
-                        });
-                        parent.flags |= F_FAILED_UNKNOWN;
-                        parent.fail_pos = parent.count;
-                        self.eng.dead_with(&mut self.state_pool)
-                    }
-                }
-            }
-        } else {
+        let state = if self.stack.is_empty() {
             match sym.filter(|s| self.cx.bxsd.start.contains(s)) {
-                Some(sym) => self.eng.start(sym),
+                Some(sym) => self.eng.start(&mut self.store, sym),
                 None => {
                     self.report.violations.push(Violation {
                         node,
@@ -1039,134 +959,28 @@ impl<E: AncEngine> EventSink for StreamSink<'_, '_, E> {
                     return TextInterest::Ignore;
                 }
             }
+        } else {
+            self.step(node, name, sym)
         };
-        let relevant = self.eng.relevant(&state);
-        if self.record {
-            self.report.matches.insert(
-                node,
-                NodeMatch {
-                    matching: self.eng.matching(&state),
-                    relevant,
-                },
-            );
-        }
-        if self.words.len() <= depth {
-            self.words.push(Vec::new());
-            self.texts.push(String::new());
-        }
-        let mut flags = 0u8;
-        let mut dfa = None;
-        let mut q = 0u32;
-        let mut interest = TextInterest::Ignore;
-        if let Some(i) = relevant {
-            let m = &self.meta[i];
-            flags = m.flags;
-            dfa = m.dfa;
-            q = m.q0;
-            interest = m.interest;
-            if flags & F_SIMPLE != 0 {
-                // Text is only accumulated where it will be checked
-                // (simple content), so arbitrary amounts of ignored
-                // text cannot grow the side tables.
-                self.texts[depth].clear();
-            } else if flags & F_BUFFERED != 0 {
-                self.words[depth].clear();
-            }
-            // Attributes are checked right here, against the reader's
-            // borrowed list — nothing is copied out of its buffer. The
-            // (almost always empty) verdict is parked on the side stack
-            // and emitted at the end tag, where the tree path reports
-            // it, so the within-node violation order stays identical.
-            if m.check_attrs || !attributes.is_empty() {
-                xsd::violation::check_attribute_pairs(
-                    node,
-                    attributes.iter().map(|a| (a.name, a.value)),
-                    &self.cx.bxsd.rules[i].content,
-                    &mut self.viol_scratch,
-                );
-                if !self.viol_scratch.is_empty() {
-                    flags |= F_ATTR_VIOL;
-                    let refill = self.spare_viol.pop().unwrap_or_default();
-                    self.attr_stack
-                        .push(std::mem::replace(&mut self.viol_scratch, refill));
-                }
-            }
-        }
-        self.stack.push(HotFrame {
+        self.open(
             node,
-            dfa,
             state,
-            relevant: relevant.map_or(NO_RULE, |i| i as u32),
-            count: 0,
-            q,
-            fail_pos: 0,
-            flags,
-        });
-        interest
+            attributes.iter().map(|a| (a.name, a.value)),
+            !attributes.is_empty(),
+        )
     }
 
     fn end_element(&mut self, name: &str, _name_id: NameId) {
-        if self.root_rejected {
-            return;
+        if !self.root_rejected {
+            self.close(|| name);
         }
-        let frame = self.stack.pop().expect("events are well nested");
-        let depth = self.stack.len(); // the popped frame's own depth
-        let relevant = (frame.relevant != NO_RULE).then_some(frame.relevant as usize);
-        // What `unknown_at.or_else(|| content.finish(...))` computed,
-        // read off the frame fields.
-        let failed_at = if frame.flags & F_FAILED_UNKNOWN != 0 {
-            Some(frame.fail_pos as usize)
-        } else if frame.flags & F_SIMPLE != 0 {
-            (frame.count > 0).then_some(0)
-        } else if let Some(dfa) = frame.dfa {
-            if frame.flags & F_FAILED_DFA != 0 {
-                Some(frame.fail_pos as usize)
-            } else {
-                (!dfa.is_final(frame.q as StateId)).then_some(frame.count as usize)
-            }
-        } else if frame.flags & F_BUFFERED != 0 {
-            let i = frame.relevant as usize;
-            self.cx.content_matchers[i].first_error(&self.words[depth])
-        } else {
-            None
-        };
-        let mut av = if frame.flags & F_ATTR_VIOL != 0 {
-            self.attr_stack.pop().expect("flagged frame parked its vec")
-        } else {
-            Vec::new() // never allocates; stays empty
-        };
-        self.cx.check_stream_node(
-            frame.node,
-            name,
-            &mut av,
-            relevant,
-            failed_at,
-            frame.flags & F_HAS_TEXT != 0,
-            (frame.flags & F_SIMPLE != 0).then(|| self.texts[depth].as_str()),
-            &mut self.report.violations,
-        );
-        if av.capacity() > 0 {
-            av.clear();
-            self.spare_viol.push(av);
-        }
-        self.eng.retire(frame.state, &mut self.state_pool);
     }
 
     fn text(&mut self, chunk: TextChunk<'_>) {
         // Text nodes occupy arena slots in the tree build.
         self.next_node += 1;
-        if self.root_rejected {
-            return;
-        }
-        let depth = self.stack.len();
-        let frame = self
-            .stack
-            .last_mut()
-            .expect("text only occurs inside the root");
-        match chunk {
-            TextChunk::NonWs(true) => frame.flags |= F_HAS_TEXT,
-            TextChunk::NonWs(false) | TextChunk::Skipped => {}
-            TextChunk::Collect(t) => self.texts[depth - 1].push_str(t),
+        if !self.root_rejected {
+            self.feed_text(chunk);
         }
     }
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The tier-1 gate: release build, every crate's test suite, a warning-free
 # clippy pass over every target in the workspace (vendor stand-ins
-# included), canonical formatting, the reader differential suite under
+# included) and over the benchmark workspace, canonical formatting, the
+# reader differential suite under
 # both lexer engines (detected SIMD and forced scalar), a parse-only
 # front-end microbench as a smoke check that the zero-copy reader
 # still runs under both engines, and the
@@ -15,6 +16,10 @@ cd "$(dirname "$0")/.."
 cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
+# The benchmark (perfbench/) is a cargo workspace of its own, so the
+# workspace passes above never compile it; lint it here, so a change to
+# a public API it calls fails the gate instead of the benchmark.
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --target-dir target -- -D warnings
 cargo fmt --all --check
 # Reader differential suite twice: once with the detected SIMD lexer
 # engine, once with the structural-index pass disabled, so the scalar

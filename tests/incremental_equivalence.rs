@@ -7,10 +7,12 @@
 //! insert/remove, subtree and root replacement), including schemas
 //! whose relevance product overflows the budget (the lock-step
 //! fallback degrades to stored full runs) and edits that flip validity
-//! in both directions.
+//! in both directions. Edited arenas are where node ids leave document
+//! order, so each edited tree is also validated with match recording
+//! under both ancestor engines and compared with the oracle.
 
 use bonxai_core::bxsd::Bxsd;
-use bonxai_core::{BonxaiSchema, CompiledBxsd};
+use bonxai_core::{BonxaiSchema, CompiledBxsd, ValidateOptions};
 use bonxai_gen::{
     random_edit, random_regular_bxsd, random_suffix_bxsd, sample_document, DocConfig, SchemaConfig,
 };
@@ -19,8 +21,9 @@ use rand::prelude::*;
 use xmltree::{Document, Edit};
 
 /// Revalidates after each edit and cross-checks against a fresh run,
-/// the oracle, and (verdict-level, through serialize + reparse with
-/// whatever lexer engine is active) the parser front end.
+/// the oracle, the recorded tree paths of both engines, and
+/// (verdict-level, through serialize + reparse with whatever lexer
+/// engine is active) the parser front end.
 fn check_script(
     bxsd: &Bxsd,
     compiled: &CompiledBxsd<'_>,
@@ -49,13 +52,34 @@ fn check_script(
             k,
             state.is_incremental()
         );
-        let want = bonxai_core::oracle::validate(bxsd, doc);
+        let want = bonxai_core::oracle::validate_with(bxsd, doc, true);
         prop_assert_eq!(
             &got.violations,
             &want.violations,
             "revalidate vs oracle after edit {}",
             k
         );
+        for force_lockstep in [false, true] {
+            let opts = ValidateOptions {
+                record_matches: true,
+                force_lockstep,
+            };
+            let tree = compiled.validate_with(doc, opts);
+            prop_assert_eq!(
+                &tree.violations,
+                &want.violations,
+                "{:?} vs oracle after edit {}",
+                opts,
+                k
+            );
+            prop_assert_eq!(
+                &tree.matches,
+                &want.matches,
+                "{:?} matches vs oracle after edit {}",
+                opts,
+                k
+            );
+        }
     }
     // One front-end leg so the BONXAI_NO_SIMD CI pass exercises both
     // lexer engines: the serialized edited tree must reparse to the
