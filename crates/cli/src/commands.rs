@@ -148,7 +148,7 @@ pub fn validate(args: &[String]) -> Result<ExitCode, String> {
             );
             Some(compiled)
         }
-        AnySchema::Bonxai(s) => Some(CompiledBxsd::new(&s.bxsd)),
+        AnySchema::Bonxai(s) => Some(s.compiled()),
         _ => {
             if has_flag(args, "--stats") {
                 println!("cache stats: (BonXai schemas only)");
@@ -191,10 +191,15 @@ pub fn validate(args: &[String]) -> Result<ExitCode, String> {
             for v in &report.constraints {
                 println!("constraint violation: {v}");
             }
+            // Only elements the walk reached have a recorded match: a
+            // rejected root ends validation before any is recorded.
+            let matched = || {
+                doc.iter_elements()
+                    .filter_map(|node| report.structure.matches.get(&node).map(|m| (node, m)))
+            };
             if show_rules {
                 println!("--- relevant rules ---");
-                for node in doc.iter_elements() {
-                    let m = &report.structure.matches[&node];
+                for (node, m) in matched() {
                     let rule = m
                         .relevant
                         .map(|i| s.ast.rules[s.rule_source[i]].pattern.source.clone())
@@ -204,8 +209,7 @@ pub fn validate(args: &[String]) -> Result<ExitCode, String> {
             }
             if show_matches {
                 println!("--- matching rules ---");
-                for node in doc.iter_elements() {
-                    let m = &report.structure.matches[&node];
+                for (node, m) in matched() {
                     let list = m
                         .matching
                         .iter()
@@ -334,7 +338,7 @@ fn validate_many(args: &[String], pos: &[&String]) -> Result<ExitCode, String> {
         record_matches: false,
         force_lockstep: has_flag(args, "--lockstep"),
     };
-    let compiled = CompiledBxsd::new(&s.bxsd);
+    let compiled = s.compiled();
     if has_flag(args, "--fast") {
         if opts.force_lockstep {
             return Err("--fast and --lockstep are mutually exclusive".into());

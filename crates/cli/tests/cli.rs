@@ -104,6 +104,36 @@ fn validate_matches_mode_prints_all_matching_rules() {
     );
 }
 
+/// A root outside the schema's start symbols ends validation before any
+/// element has a recorded match; `--rules` and `--matches` must print the
+/// violation and an empty section instead of panicking.
+#[test]
+fn rules_and_matches_survive_a_rejected_root() {
+    for flag in ["--rules", "--matches"] {
+        let out = run(&[
+            "validate",
+            &data("conformance/docbook/schema.bonxai"),
+            &data("conformance/docbook/invalid_3.xml"),
+            flag,
+        ]);
+        let text = stdout(&out);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {text}");
+        let header = if flag == "--rules" {
+            "--- relevant rules ---"
+        } else {
+            "--- matching rules ---"
+        };
+        assert_eq!(
+            text,
+            format!(
+                "violation: root element <book> is not a declared start element\n\
+                 {header}\nINVALID\n"
+            ),
+            "{flag}"
+        );
+    }
+}
+
 #[test]
 fn validate_stream_agrees_with_tree_validation() {
     // valid document: same verdict from file and from stdin
@@ -295,6 +325,58 @@ fn check_reports_formalism() {
     assert!(stdout(&out).contains("XML Schema"));
     let out = run(&["check", &data("figure2.dtd")]);
     assert!(stdout(&out).contains("DTD"));
+}
+
+/// Schema sources nested past the parser's cap used to overflow the
+/// stack (exit 134); they are now a positioned error (exit 2), for
+/// nested groups and postfix chains, in rule bodies and ancestor
+/// patterns alike.
+#[test]
+fn check_rejects_schemas_nested_too_deep() {
+    let n = 200_000;
+    let cases = [
+        (
+            "body groups",
+            format!(
+                "global {{ a }}\ngrammar {{\n  a = {{ {}element b{} }}\n  b = {{ }}\n}}\n",
+                "(".repeat(n),
+                ")".repeat(n)
+            ),
+        ),
+        (
+            "body operators",
+            format!(
+                "global {{ a }}\ngrammar {{\n  a = {{ element b{} }}\n  b = {{ }}\n}}\n",
+                "?".repeat(n)
+            ),
+        ),
+        (
+            "pattern groups",
+            format!(
+                "global {{ a }}\ngrammar {{\n  a = {{ (element b)? }}\n  {}b{} = {{ }}\n}}\n",
+                "(".repeat(n),
+                ")".repeat(n)
+            ),
+        ),
+        (
+            "pattern operators",
+            format!(
+                "global {{ a }}\ngrammar {{\n  a = {{ (element b)? }}\n  b{} = {{ }}\n}}\n",
+                "?".repeat(n)
+            ),
+        ),
+    ];
+    for (i, (what, src)) in cases.iter().enumerate() {
+        let path = std::env::temp_dir().join(format!("bonxai_cli_deep_{i}.bonxai"));
+        std::fs::write(&path, src).expect("writes");
+        let out = run(&["check", path.to_str().expect("utf8")]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{what}: {err}");
+        assert!(
+            err.contains("nested more than 2048 levels deep"),
+            "{what}: {err}"
+        );
+    }
 }
 
 #[test]

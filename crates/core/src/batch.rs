@@ -155,6 +155,12 @@ fn worker_loop<T, R>(
     }
 }
 
+/// Stack of each pool worker: the main thread's usual 8 MiB, so a job
+/// needs no more stack on a worker than inline — linting a schema at
+/// the parser's nesting cap ([`crate::lang::parser::MAX_NESTING`]) takes
+/// more than the 2 MiB a spawned thread gets by default.
+const WORKER_STACK: usize = 8 << 20;
+
 /// Runs `preloaded` deques plus the `feed` stream through `n` workers,
 /// returning results sorted back into input-index order.
 fn run_pool<T, R, F, I>(mut preloaded: Vec<VecDeque<(usize, T)>>, feed: I, f: F) -> Vec<R>
@@ -191,7 +197,10 @@ where
             .map(|me| {
                 let shared = &shared;
                 let f = &f;
-                scope.spawn(move || worker_loop(shared, me, f))
+                std::thread::Builder::new()
+                    .stack_size(WORKER_STACK)
+                    .spawn_scoped(scope, move || worker_loop(shared, me, f))
+                    .expect("the pool spawns its workers")
             })
             .collect();
         for job in feed {

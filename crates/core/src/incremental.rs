@@ -215,10 +215,10 @@ impl CompiledBxsd<'_> {
             return state.report();
         }
         let p = self
+            .tables
             .relevance
-            .as_ref()
-            .expect("incremental state implies a relevance product")
-            .clone();
+            .as_deref()
+            .expect("incremental state implies a relevance product");
 
         // Detached subtrees first: their memo is stale, and a Dirty
         // entry pointing into one must be recognized as unreachable.
@@ -237,7 +237,7 @@ impl CompiledBxsd<'_> {
                 _ => None,
             })
             .collect();
-        self.replay(&p, doc, state, dirty);
+        self.replay(p, doc, state, dirty);
         state.generation = doc.generation();
         state.report()
     }
@@ -251,7 +251,7 @@ impl CompiledBxsd<'_> {
         state.fallback = None;
         state.generation = doc.generation();
         state.passes = 0;
-        let Some(p) = self.relevance.clone() else {
+        let Some(p) = self.tables.relevance.as_deref() else {
             // No product ⇒ nothing to memoize; degrade to a stored
             // fresh report (recomputed on every revalidation).
             state.passes = doc.element_count();
@@ -276,7 +276,7 @@ impl CompiledBxsd<'_> {
             return;
         };
         state.anc[root.0] = p.step(p.initial(), root_sym);
-        self.replay(&p, doc, state, [root]);
+        self.replay(p, doc, state, [root]);
     }
 
     /// Runs the validation walker from each of `starts` (ancestors

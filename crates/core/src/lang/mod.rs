@@ -15,5 +15,5 @@ pub use ast::{
 pub use lexer::LangError;
 pub use lift::lift;
 pub use lower::{lower, lower_lenient, LowerIssue, Lowered, LoweredLenient};
-pub use parser::{parse_ancestor_pattern, parse_schema};
+pub use parser::{parse_ancestor_pattern, parse_schema, MAX_NESTING};
 pub use printer::print_schema;

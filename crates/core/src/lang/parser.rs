@@ -35,6 +35,82 @@ fn lhs_span(lhs: &[Spanned]) -> Span {
     }
 }
 
+/// Deepest nesting accepted in an ancestor pattern, constraint selector
+/// or rule body. Each parenthesised group, each postfix operator (`*`,
+/// `+`, `?`, `{n,m}`) and each list of two or more items (joined by
+/// `,`, `|`, `&` or path steps) is one level, counted along the deepest
+/// path of the expression: `(element a*, element b)?` is four deep (the
+/// `?`, the group, the list and the `*`). The parser recurses per
+/// group, and lowering, printing, linting and the automaton
+/// constructions recurse per level, so unbounded nesting would overflow
+/// the stack, which aborts rather than unwinds. Groups are counted
+/// before the parser recurses, everything else as it is parsed. At the
+/// cap, every `bonxai` command fits in 4 MiB of stack in a release
+/// build, half of what its main thread and pool workers get. The
+/// printer spends at most three levels (group, list, operator) per
+/// nested DTD group or XSD particle, so the cap accepts every DTD within
+/// the DTD parser's limit of 512 nested groups, and XSD particles
+/// nested 682 deep.
+pub const MAX_NESTING: u32 = 2048;
+
+/// Rejects a pattern or body whose parentheses nest deeper than
+/// [`MAX_NESTING`], in one pass over its tokens, before the recursive
+/// descent would recurse that deep.
+fn check_groups(toks: &[Spanned]) -> Result<(), LangError> {
+    let mut open = 0u32;
+    for t in toks {
+        match t.tok {
+            Tok::LParen => {
+                open += 1;
+                if open > MAX_NESTING {
+                    return Err(too_deep(t));
+                }
+            }
+            Tok::RParen => open = open.saturating_sub(1),
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
+#[cold]
+#[inline(never)]
+fn too_deep(tok: &Spanned) -> LangError {
+    LangError::at(
+        tok,
+        format!("expression nested more than {MAX_NESTING} levels deep"),
+    )
+}
+
+/// Nesting of the expression parsed last, checked against
+/// [`MAX_NESTING`] as groups, operators and lists wrap it.
+#[derive(Default)]
+struct Nesting {
+    last: u32,
+}
+
+impl Nesting {
+    /// The expression parsed last is wrapped once more, by the group
+    /// closing or the postfix operator at `tok`.
+    fn wrap(&mut self, tok: &Spanned) -> Result<(), LangError> {
+        self.last += 1;
+        if self.last > MAX_NESTING {
+            return Err(too_deep(tok));
+        }
+        Ok(())
+    }
+
+    /// A list of `items` expressions, ending at `tok`, whose deepest is
+    /// `deepest` levels deep, becomes the expression parsed last.
+    fn join(&mut self, deepest: u32, items: usize, tok: &Spanned) -> Result<(), LangError> {
+        self.last = deepest;
+        if items > 1 {
+            self.wrap(tok)?;
+        }
+        Ok(())
+    }
+}
+
 /// Parses a BonXai schema source file.
 pub fn parse_schema(src: &str) -> Result<SchemaAst, LangError> {
     Parser::new(src).parse()
@@ -398,6 +474,7 @@ impl<'a> Parser<'a> {
         BodyParser {
             toks: &toks,
             pos: 0,
+            nesting: Nesting::default(),
         }
         .parse()
     }
@@ -539,11 +616,22 @@ struct PatternParser<'a> {
     toks: &'a [Spanned],
     pos: usize,
     src: &'a str,
+    nesting: Nesting,
 }
 
 impl<'a> PatternParser<'a> {
     fn new(toks: &'a [Spanned], src: &'a str) -> Self {
-        PatternParser { toks, pos: 0, src }
+        PatternParser {
+            toks,
+            pos: 0,
+            src,
+            nesting: Nesting::default(),
+        }
+    }
+
+    /// The token consumed last.
+    fn prev(&self) -> &'a Spanned {
+        &self.toks[self.pos - 1]
     }
 
     fn err_here(&self, msg: impl Into<String>) -> LangError {
@@ -579,6 +667,7 @@ impl<'a> PatternParser<'a> {
         if self.toks.is_empty() {
             return Err(LangError::new(0, 0, "empty ancestor pattern"));
         }
+        check_groups(self.toks)?;
         let source = self.source_span();
         // Implicit leading `//` when the first meaningful token (looking
         // through opening parentheses) is a name or `@`.
@@ -624,10 +713,13 @@ impl<'a> PatternParser<'a> {
 
     fn parse_alt(&mut self) -> Result<Pat, LangError> {
         let mut branches = vec![self.parse_cat()?];
+        let mut deepest = self.nesting.last;
         while matches!(self.peek(), Some(Tok::Pipe)) {
             self.bump();
             branches.push(self.parse_cat()?);
+            deepest = deepest.max(self.nesting.last);
         }
+        self.nesting.join(deepest, branches.len(), self.prev())?;
         if branches.len() == 1 {
             return Ok(branches.pop().expect("len checked"));
         }
@@ -656,6 +748,7 @@ impl<'a> PatternParser<'a> {
     fn parse_cat(&mut self) -> Result<Pat, LangError> {
         let mut parts: Vec<PathExpr> = Vec::new();
         let mut attrs: Option<Vec<String>> = None;
+        let mut deepest = 0;
         loop {
             // A step may begin with an explicit separator.
             let gap = match self.peek() {
@@ -678,7 +771,9 @@ impl<'a> PatternParser<'a> {
             if gap {
                 parts.push(PathExpr::AnyChain);
             }
-            match self.parse_postfix()? {
+            let step = self.parse_postfix()?;
+            deepest = deepest.max(self.nesting.last);
+            match step {
                 Pat::Path(p) => parts.push(p),
                 Pat::Attrs(a) => attrs = Some(a),
                 Pat::PathAttrs(p, a) => {
@@ -690,6 +785,7 @@ impl<'a> PatternParser<'a> {
         if parts.is_empty() && attrs.is_none() {
             return Err(self.err_here("expected an ancestor pattern step"));
         }
+        self.nesting.join(deepest, parts.len(), self.prev())?;
         let path = match parts.len() {
             0 => PathExpr::Empty,
             1 => parts.pop().expect("len checked"),
@@ -706,6 +802,7 @@ impl<'a> PatternParser<'a> {
         let mut pat = self.parse_atom()?;
         while let Some(Tok::Star | Tok::Plus | Tok::Question | Tok::Count(_, _)) = self.peek() {
             let op = self.bump().expect("peeked").clone();
+            self.nesting.wrap(self.prev())?;
             pat = match pat {
                 Pat::Path(p) => Pat::Path(match op {
                     Tok::Star => PathExpr::Star(Box::new(p)),
@@ -725,6 +822,7 @@ impl<'a> PatternParser<'a> {
     }
 
     fn parse_atom(&mut self) -> Result<Pat, LangError> {
+        self.nesting.last = 0;
         match self.bump().cloned() {
             Some(Tok::Ident(name)) => Ok(Pat::Path(PathExpr::Name(name))),
             Some(Tok::At) => match self.bump().cloned() {
@@ -734,7 +832,10 @@ impl<'a> PatternParser<'a> {
             Some(Tok::LParen) => {
                 let inner = self.parse_alt()?;
                 match self.bump() {
-                    Some(Tok::RParen) => Ok(inner),
+                    Some(Tok::RParen) => {
+                        self.nesting.wrap(self.prev())?;
+                        Ok(inner)
+                    }
                     _ => Err(self.err_here("expected ')'")),
                 }
             }
@@ -758,9 +859,15 @@ enum CItem {
 struct BodyParser<'a> {
     toks: &'a [Spanned],
     pos: usize,
+    nesting: Nesting,
 }
 
 impl<'a> BodyParser<'a> {
+    /// The token consumed last.
+    fn prev(&self) -> &'a Spanned {
+        &self.toks[self.pos - 1]
+    }
+
     fn err_here(&self, msg: impl Into<String>) -> LangError {
         match self.toks.get(self.pos).or_else(|| self.toks.last()) {
             Some(t) => LangError::at(t, msg),
@@ -784,12 +891,17 @@ impl<'a> BodyParser<'a> {
     fn parse(mut self) -> Result<ChildPattern, LangError> {
         let mut out = ChildPattern::default();
         let mut particles = Vec::new();
+        let mut deepest = 0;
         if self.toks.is_empty() {
             return Ok(out); // empty content
         }
+        check_groups(self.toks)?;
         loop {
             match self.parse_top_item()? {
-                CItem::P(p) => particles.push(p),
+                CItem::P(p) => {
+                    particles.push(p);
+                    deepest = deepest.max(self.nesting.last);
+                }
                 CItem::Attr(a) => out.attributes.push(a),
                 CItem::AGroup(g) => out.attribute_group_refs.push(g),
                 CItem::Any => out.open = true,
@@ -804,6 +916,7 @@ impl<'a> BodyParser<'a> {
                 }
             }
         }
+        self.nesting.join(deepest, particles.len(), self.prev())?;
         out.particle = match particles.len() {
             0 => None,
             1 => Some(particles.pop().expect("len checked")),
@@ -851,10 +964,13 @@ impl<'a> BodyParser<'a> {
     /// `seq := alt (',' alt)*` around it (inside parentheses).
     fn parse_alt(&mut self, _in_parens: bool) -> Result<Particle, LangError> {
         let mut branches = vec![self.parse_inter()?];
+        let mut deepest = self.nesting.last;
         while matches!(self.peek(), Some(Tok::Pipe)) {
             self.bump();
             branches.push(self.parse_inter()?);
+            deepest = deepest.max(self.nesting.last);
         }
+        self.nesting.join(deepest, branches.len(), self.prev())?;
         Ok(if branches.len() == 1 {
             branches.pop().expect("len checked")
         } else {
@@ -864,10 +980,13 @@ impl<'a> BodyParser<'a> {
 
     fn parse_seq_in_parens(&mut self) -> Result<Particle, LangError> {
         let mut items = vec![self.parse_alt(true)?];
+        let mut deepest = self.nesting.last;
         while matches!(self.peek(), Some(Tok::Comma)) {
             self.bump();
             items.push(self.parse_alt(true)?);
+            deepest = deepest.max(self.nesting.last);
         }
+        self.nesting.join(deepest, items.len(), self.prev())?;
         Ok(if items.len() == 1 {
             items.pop().expect("len checked")
         } else {
@@ -877,10 +996,13 @@ impl<'a> BodyParser<'a> {
 
     fn parse_inter(&mut self) -> Result<Particle, LangError> {
         let mut items = vec![self.parse_postfix()?];
+        let mut deepest = self.nesting.last;
         while matches!(self.peek(), Some(Tok::Amp)) {
             self.bump();
             items.push(self.parse_postfix()?);
+            deepest = deepest.max(self.nesting.last);
         }
+        self.nesting.join(deepest, items.len(), self.prev())?;
         Ok(if items.len() == 1 {
             items.pop().expect("len checked")
         } else {
@@ -890,32 +1012,23 @@ impl<'a> BodyParser<'a> {
 
     fn parse_postfix(&mut self) -> Result<Particle, LangError> {
         let mut p = self.parse_atom()?;
-        loop {
-            p = match self.peek() {
-                Some(Tok::Star) => {
-                    self.bump();
-                    Particle::Star(Box::new(p))
-                }
-                Some(Tok::Plus) => {
-                    self.bump();
-                    Particle::Plus(Box::new(p))
-                }
-                Some(Tok::Question) => {
-                    self.bump();
-                    Particle::Opt(Box::new(p))
-                }
-                Some(Tok::Count(lo, hi)) => {
-                    let (lo, hi) = (*lo, *hi);
-                    self.bump();
-                    Particle::Repeat(Box::new(p), lo, hi)
-                }
-                _ => break,
+        while let Some(Tok::Star | Tok::Plus | Tok::Question | Tok::Count(_, _)) = self.peek() {
+            let op = self.bump().expect("peeked").clone();
+            self.nesting.wrap(self.prev())?;
+            let inner = Box::new(p);
+            p = match op {
+                Tok::Star => Particle::Star(inner),
+                Tok::Plus => Particle::Plus(inner),
+                Tok::Question => Particle::Opt(inner),
+                Tok::Count(lo, hi) => Particle::Repeat(inner, lo, hi),
+                _ => unreachable!("matched above"),
             };
         }
         Ok(p)
     }
 
     fn parse_atom(&mut self) -> Result<Particle, LangError> {
+        self.nesting.last = 0;
         match self.bump().cloned() {
             Some(Tok::Ident(kw)) if kw == "element" => Ok(Particle::Element(self.expect_name()?)),
             Some(Tok::Ident(kw)) if kw == "group" => Ok(Particle::GroupRef(self.expect_name()?)),
@@ -926,7 +1039,10 @@ impl<'a> BodyParser<'a> {
             Some(Tok::LParen) => {
                 let inner = self.parse_seq_in_parens()?;
                 match self.bump() {
-                    Some(Tok::RParen) => Ok(inner),
+                    Some(Tok::RParen) => {
+                        self.nesting.wrap(self.prev())?;
+                        Ok(inner)
+                    }
                     _ => Err(self.err_here("expected ')'")),
                 }
             }

@@ -101,42 +101,31 @@ impl BxsdReport {
     }
 }
 
-/// A BXSD compiled for repeated validation: one DFA per ancestor
-/// expression, one matcher per content model, (budget permitting) the
-/// relevance product over the ancestor DFAs, and one [`RuleMeta`] row
-/// per rule.
+/// A BXSD compiled for repeated validation: the schema it was compiled
+/// from plus the [`CompiledTables`], shared behind an [`Arc`] so that
+/// [`crate::BonxaiSchema::compiled`] can hand out views of one compile
+/// the schema object keeps.
 pub struct CompiledBxsd<'a> {
     pub(crate) bxsd: &'a Bxsd,
+    pub(crate) tables: Arc<CompiledTables>,
+}
+
+/// What compiling a BXSD produces: one DFA per ancestor expression, one
+/// matcher per content model, (budget permitting) the relevance product
+/// over the ancestor DFAs, and one [`RuleMeta`] row per rule. Owned and
+/// immutable, so one compile can be shared by every validation of the
+/// schema, on any thread.
+pub(crate) struct CompiledTables {
     ancestor_dfas: Vec<Arc<Dfa>>,
     content_matchers: Vec<Arc<CompiledDre>>,
     pub(crate) relevance: Option<Arc<RelevanceProduct>>,
     meta: Vec<RuleMeta>,
 }
 
-impl<'a> CompiledBxsd<'a> {
-    /// Compiles all rule expressions of `bxsd` with the default product
-    /// budget ([`DEFAULT_PRODUCT_BUDGET`]).
-    pub fn new(bxsd: &'a Bxsd) -> Self {
-        Self::with_budget(bxsd, DEFAULT_PRODUCT_BUDGET)
-    }
-
-    /// Compiles `bxsd`, allowing at most `budget` relevance-product
-    /// states. A budget of 0 disables the product entirely; validation
-    /// then always runs lock-step.
-    pub fn with_budget(bxsd: &'a Bxsd, budget: usize) -> Self {
-        Self::build(bxsd, budget, None)
-    }
-
-    /// [`Self::with_budget`] with a shared [`AutomataCache`]: ancestor
-    /// DFAs and the relevance product are memoized by regex structure,
-    /// so recompiling a schema (or compiling one the lint pass already
-    /// probed) reuses the constructions. The compiled validator is
-    /// identical to an uncached build.
-    pub fn with_cache(bxsd: &'a Bxsd, budget: usize, cache: &mut AutomataCache) -> Self {
-        Self::build(bxsd, budget, Some(cache))
-    }
-
-    fn build(bxsd: &'a Bxsd, budget: usize, mut cache: Option<&mut AutomataCache>) -> Self {
+impl CompiledTables {
+    /// Compiles `bxsd` with a product of at most `budget` states (0: no
+    /// product), memoizing constructions in `cache` when one is given.
+    fn build(bxsd: &Bxsd, budget: usize, mut cache: Option<&mut AutomataCache>) -> Self {
         let n = bxsd.ename.len();
         let ancestor_dfas: Vec<Arc<Dfa>> = bxsd
             .rules
@@ -175,13 +164,38 @@ impl<'a> CompiledBxsd<'a> {
             .zip(&content_matchers)
             .map(|(r, m)| RuleMeta::of(&r.content, m))
             .collect();
-        CompiledBxsd {
-            bxsd,
+        CompiledTables {
             ancestor_dfas,
             content_matchers,
             relevance,
             meta,
         }
+    }
+}
+
+impl<'a> CompiledBxsd<'a> {
+    /// Compiles all rule expressions of `bxsd` with the default product
+    /// budget ([`DEFAULT_PRODUCT_BUDGET`]).
+    pub fn new(bxsd: &'a Bxsd) -> Self {
+        Self::with_budget(bxsd, DEFAULT_PRODUCT_BUDGET)
+    }
+
+    /// Compiles `bxsd`, allowing at most `budget` relevance-product
+    /// states. A budget of 0 disables the product entirely; validation
+    /// then always runs lock-step.
+    pub fn with_budget(bxsd: &'a Bxsd, budget: usize) -> Self {
+        let tables = Arc::new(CompiledTables::build(bxsd, budget, None));
+        CompiledBxsd { bxsd, tables }
+    }
+
+    /// [`Self::with_budget`] with a shared [`AutomataCache`]: ancestor
+    /// DFAs and the relevance product are memoized by regex structure,
+    /// so recompiling a schema (or compiling one the lint pass already
+    /// probed) reuses the constructions. The compiled validator is
+    /// identical to an uncached build.
+    pub fn with_cache(bxsd: &'a Bxsd, budget: usize, cache: &mut AutomataCache) -> Self {
+        let tables = Arc::new(CompiledTables::build(bxsd, budget, Some(cache)));
+        CompiledBxsd { bxsd, tables }
     }
 
     /// The underlying schema.
@@ -192,7 +206,7 @@ impl<'a> CompiledBxsd<'a> {
     /// Number of relevance-product states, or `None` when the product
     /// exceeded its budget (validation falls back to lock-step).
     pub fn product_states(&self) -> Option<usize> {
-        self.relevance.as_ref().map(|p| p.n_states())
+        self.tables.relevance.as_ref().map(|p| p.n_states())
     }
 
     /// Validates `doc` under the priority semantics (default options:
@@ -216,13 +230,13 @@ impl<'a> CompiledBxsd<'a> {
                 matches: BTreeMap::new(),
             };
         };
-        let mut report = match (&self.relevance, opts.force_lockstep) {
+        let mut report = match (&self.tables.relevance, opts.force_lockstep) {
             (Some(p), false) => {
                 self.walk_tree(&ProductEngine(p), doc, root_sym, opts.record_matches)
             }
             _ => self.walk_tree(
                 &LockstepEngine {
-                    dfas: &self.ancestor_dfas,
+                    dfas: &self.tables.ancestor_dfas,
                 },
                 doc,
                 root_sym,
@@ -259,14 +273,14 @@ impl<'a> CompiledBxsd<'a> {
         reader: &mut XmlReader<S>,
         opts: ValidateOptions,
     ) -> Result<BxsdReport, xmltree::ParseError> {
-        let mut report = match (&self.relevance, opts.force_lockstep) {
+        let mut report = match (&self.tables.relevance, opts.force_lockstep) {
             (Some(p), false) => {
                 self.drive_stream(reader, &ProductEngine(p), opts.record_matches)?
             }
             _ => self.drive_stream(
                 reader,
                 &LockstepEngine {
-                    dfas: &self.ancestor_dfas,
+                    dfas: &self.tables.ancestor_dfas,
                 },
                 opts.record_matches,
             )?,
@@ -311,49 +325,6 @@ impl<'a> CompiledBxsd<'a> {
             .iter()
             .map(|n| self.bxsd.ename.lookup(n))
             .collect()
-    }
-
-    /// The per-node check of a closed frame: text, then attributes, then
-    /// content. Attribute violations arrive pre-computed (the frame was
-    /// checked when it opened) and are spliced in between; their vector
-    /// is drained, not consumed, so the caller can recycle it. `name` is
-    /// asked for only when a report needs the element name.
-    #[allow(clippy::too_many_arguments)]
-    fn check_stream_node<'n>(
-        &self,
-        node: NodeId,
-        name: impl Fn() -> &'n str,
-        attr_violations: Option<&mut Vec<Violation>>,
-        relevant: Option<usize>,
-        failed_at: Option<usize>,
-        has_text: bool,
-        text: Option<&str>,
-        violations: &mut Vec<Violation>,
-    ) {
-        let Some(i) = relevant else {
-            return;
-        };
-        let model = &self.bxsd.rules[i].content;
-        if model.simple_content.is_some() {
-            xsd::violation::check_simple_text(node, name(), model, text.unwrap_or(""), violations);
-        } else if !model.mixed && !model.open && has_text {
-            violations.push(Violation {
-                node,
-                kind: ViolationKind::UnexpectedText(name().to_owned()),
-            });
-        }
-        if let Some(av) = attr_violations {
-            violations.append(av);
-        }
-        if let Some(at) = failed_at {
-            violations.push(Violation {
-                node,
-                kind: ViolationKind::ContentModel {
-                    element: name().to_owned(),
-                    at,
-                },
-            });
-        }
     }
 }
 
@@ -653,12 +624,58 @@ impl<T: Buf> BufStack<T> {
     }
 }
 
+/// The per-node check of a closed frame under `bxsd`: text, then
+/// attributes, then content. Attribute violations arrive pre-computed
+/// (the frame was checked when it opened) and are spliced in between;
+/// their vector is drained, not consumed, so the caller can recycle it.
+/// `name` is asked for only when a report needs the element name.
+#[allow(clippy::too_many_arguments)]
+fn check_stream_node<'n>(
+    bxsd: &Bxsd,
+    node: NodeId,
+    name: impl Fn() -> &'n str,
+    attr_violations: Option<&mut Vec<Violation>>,
+    relevant: Option<usize>,
+    failed_at: Option<usize>,
+    has_text: bool,
+    text: Option<&str>,
+    violations: &mut Vec<Violation>,
+) {
+    let Some(i) = relevant else {
+        return;
+    };
+    let model = &bxsd.rules[i].content;
+    if model.simple_content.is_some() {
+        xsd::violation::check_simple_text(node, name(), model, text.unwrap_or(""), violations);
+    } else if !model.mixed && !model.open && has_text {
+        violations.push(Violation {
+            node,
+            kind: ViolationKind::UnexpectedText(name().to_owned()),
+        });
+    }
+    if let Some(av) = attr_violations {
+        violations.append(av);
+    }
+    if let Some(at) = failed_at {
+        violations.push(Violation {
+            node,
+            kind: ViolationKind::ContentModel {
+                element: name().to_owned(),
+                at,
+            },
+        });
+    }
+}
+
 /// The validation walker: a frame stack over start, text and end events,
 /// plus the buffers of the frames that need one. Every validation path
 /// drives one: the reader through the [`EventSink`] adapter, arena
 /// documents through [`Self::walk`].
 pub(crate) struct StreamSink<'c, E: AncEngine> {
-    cx: &'c CompiledBxsd<'c>,
+    bxsd: &'c Bxsd,
+    /// The validator's tables, borrowed through its `Arc` once: a lookup
+    /// per element costs the same hops as when they were its fields.
+    tables: &'c CompiledTables,
     eng: &'c E,
     record: bool,
     /// Violations in discovery order (unsorted) and recorded matches.
@@ -689,9 +706,10 @@ pub(crate) struct StreamSink<'c, E: AncEngine> {
 }
 
 impl<'c, E: AncEngine> StreamSink<'c, E> {
-    pub(crate) fn new(cx: &'c CompiledBxsd<'c>, eng: &'c E, record: bool) -> Self {
+    pub(crate) fn new(cx: &'c CompiledBxsd<'_>, eng: &'c E, record: bool) -> Self {
         StreamSink {
-            cx,
+            bxsd: cx.bxsd,
+            tables: &cx.tables,
             eng,
             record,
             report: BxsdReport::default(),
@@ -774,7 +792,7 @@ impl<'c, E: AncEngine> StreamSink<'c, E> {
         let mut dfa = None;
         let mut q = 0u32;
         if let Some(i) = relevant {
-            let m = self.cx.meta[i];
+            let m = self.tables.meta[i];
             flags = m.flags;
             if flags & F_SIMPLE != 0 {
                 // Text is only accumulated where it will be checked
@@ -784,12 +802,12 @@ impl<'c, E: AncEngine> StreamSink<'c, E> {
             } else if flags & F_BUFFERED != 0 {
                 self.words.push();
             } else {
-                dfa = self.cx.content_matchers[i].as_dfa();
+                dfa = self.tables.content_matchers[i].as_dfa();
                 q = dfa.map_or(0, |d| d.initial() as u32);
             }
             if m.check_attrs || has_attrs {
                 let parked = self.attrs.push();
-                let model = &self.cx.bxsd.rules[i].content;
+                let model = &self.bxsd.rules[i].content;
                 xsd::violation::check_attribute_pairs(node, attrs, model, parked);
                 if parked.is_empty() {
                     self.attrs.pop();
@@ -828,11 +846,12 @@ impl<'c, E: AncEngine> StreamSink<'c, E> {
             }
         } else if frame.flags & F_BUFFERED != 0 {
             let i = frame.relevant as usize;
-            self.cx.content_matchers[i].first_error(self.words.top())
+            self.tables.content_matchers[i].first_error(self.words.top())
         } else {
             None
         };
-        self.cx.check_stream_node(
+        check_stream_node(
+            self.bxsd,
             frame.node,
             name,
             (frame.flags & F_ATTR_VIOL != 0).then(|| self.attrs.top()),
@@ -944,11 +963,11 @@ impl<E: AncEngine> EventSink for StreamSink<'_, E> {
             // New ids are handed out densely, one per first
             // occurrence — which is always a start tag.
             debug_assert_eq!(idx, self.syms.len());
-            self.syms.push(self.cx.bxsd.ename.lookup(name));
+            self.syms.push(self.bxsd.ename.lookup(name));
         }
         let sym = self.syms[idx];
         let state = if self.stack.is_empty() {
-            match sym.filter(|s| self.cx.bxsd.start.contains(s)) {
+            match sym.filter(|s| self.bxsd.start.contains(s)) {
                 Some(sym) => self.eng.start(&mut self.store, sym),
                 None => {
                     self.report.violations.push(Violation {

@@ -5,8 +5,9 @@
 # reader differential suite under
 # both lexer engines (detected SIMD and forced scalar), a parse-only
 # front-end microbench as a smoke check that the zero-copy reader
-# still runs under both engines, and the
-# lint-corpus and diff-corpus golden checks (every seeded-defect
+# still runs under both engines, the differential conformance run, the
+# `validate --rules`/`--matches` printers over every corpus pair, and
+# the lint-corpus and diff-corpus golden checks (every seeded-defect
 # fixture and schema pair must produce exactly its checked-in JSON
 # report — codes, spans, witnesses, verdicts).
 # CI and pre-commit both run exactly this.
@@ -39,6 +40,23 @@ target/release/bonxai conform data/conformance --fuzz 1000 --seed 0 > /dev/null 
   || { echo "conformance/fuzz divergence — run: bonxai conform data/conformance --fuzz 1000 --seed 0" >&2; exit 1; }
 BONXAI_NO_SIMD=1 target/release/bonxai conform data/conformance > /dev/null \
   || { echo "conformance divergence (scalar engine) — run: BONXAI_NO_SIMD=1 bonxai conform data/conformance" >&2; exit 1; }
+# The report printers of `bonxai validate` over every corpus schema ×
+# document pair, foreign documents included (rejected roots, unknown
+# names). Exit 1 just means the document is invalid; anything above is
+# a crash.
+for schema in data/conformance/*/schema.bonxai; do
+  for doc in data/conformance/*/*.xml; do
+    for flags in --rules --matches "--lockstep --rules"; do
+      status=0
+      # shellcheck disable=SC2086 # $flags is a list of flags
+      target/release/bonxai validate "$schema" "$doc" $flags > /dev/null || status=$?
+      if [ "$status" -gt 1 ]; then
+        echo "validate $flags crashed on $schema × $doc (exit $status)" >&2
+        exit 1
+      fi
+    done
+  done
+done
 # Compile-path smoke: 20-schema subset through every stage, cached and
 # ablated, so the automata kernels + AutomataCache stay runnable.
 cargo run --release -p bonxai-bench --bin exp_compile -- --smoke > /dev/null

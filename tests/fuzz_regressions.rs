@@ -3,6 +3,7 @@
 //! it used to trigger; if one regresses, the assertion message points
 //! straight at the reintroduced bug.
 
+use bonxai::core::lang::MAX_NESTING;
 use bonxai::core::{conformance, BonxaiSchema};
 use bonxai::xmltree::dtd::parse_dtd;
 
@@ -66,6 +67,97 @@ fn dtd_deeply_nested_content_model_is_an_error() {
     // Well under the cap still parses.
     let fine = format!("<!ELEMENT a {}b{}>", "(".repeat(100), ")".repeat(100));
     parse_dtd(&fine).expect("shallow nesting is fine");
+}
+
+/// Schemas nesting `n` levels deep, one per way to nest: groups and
+/// postfix chains, in a rule body and in an ancestor pattern. Each comes
+/// with the line of its nesting tokens and the column before the first.
+fn nested_schemas(n: usize) -> [(&'static str, String, u32, u32); 4] {
+    [
+        (
+            "body groups",
+            format!(
+                "global {{ a }}\ngrammar {{\n  a = {{ {}element b{} }}\n  b = {{ }}\n}}\n",
+                "(".repeat(n),
+                ")".repeat(n)
+            ),
+            3,
+            8,
+        ),
+        (
+            "body operators",
+            format!(
+                "global {{ a }}\ngrammar {{\n  a = {{ element b{} }}\n  b = {{ }}\n}}\n",
+                "?".repeat(n)
+            ),
+            3,
+            17,
+        ),
+        (
+            "pattern groups",
+            format!(
+                "global {{ a }}\ngrammar {{\n  a = {{ (element b)? }}\n  {}b{} = {{ }}\n}}\n",
+                "(".repeat(n),
+                ")".repeat(n)
+            ),
+            4,
+            2,
+        ),
+        (
+            "pattern operators",
+            format!(
+                "global {{ a }}\ngrammar {{\n  a = {{ (element b)? }}\n  b{} = {{ }}\n}}\n",
+                "+".repeat(n)
+            ),
+            4,
+            3,
+        ),
+    ]
+}
+
+/// Nested groups and postfix chains in schema sources recursed (in the
+/// parser, then in lowering and the automaton constructions) until the
+/// stack overflowed: 20,000 nested groups in a rule body, 200,000 in an
+/// ancestor pattern. Past the nesting cap they are a positioned error,
+/// found before the parser recurses that deep — so even an unoptimised
+/// build on a 2 MiB test thread gets there.
+#[test]
+fn schema_nesting_past_the_cap_is_an_error() {
+    for n in [MAX_NESTING as usize + 1, 200_000] {
+        for (what, src, line, before) in nested_schemas(n) {
+            let err = BonxaiSchema::parse(&src).expect_err("must not overflow the stack");
+            // Reported at the first level past the cap.
+            let col = before + MAX_NESTING + 1;
+            assert_eq!((err.line, err.col), (line, col), "{what} at {n}");
+            assert!(
+                err.message.contains("nested more than 2048 levels deep"),
+                "{what} at {n}: {err}"
+            );
+        }
+    }
+}
+
+/// At the cap itself every way of nesting still parses and validates.
+/// An unoptimised build needs several times the stack of a release
+/// build per level, so this runs on a thread with room for it.
+#[test]
+fn schema_nesting_at_the_cap_parses_and_validates() {
+    std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn_scoped(s, || {
+                let doc = bonxai::xmltree::parse_document("<a><b/></a>").expect("parses");
+                for (what, src, _, _) in nested_schemas(MAX_NESTING as usize) {
+                    let schema =
+                        BonxaiSchema::parse(&src).unwrap_or_else(|e| panic!("{what}: {e}"));
+                    let report = schema.validate(&doc);
+                    assert!(report.is_valid(), "{what}: {:?}", report.violations());
+                }
+            })
+            .expect("spawns")
+            .join()
+            .unwrap_or_else(|e| std::panic::resume_unwind(e));
+    });
 }
 
 /// `xs:pattern` (and any other unsupported facet) inside a
