@@ -18,9 +18,12 @@ COMMANDS:
         Validate XML documents. The schema may be .bonxai, .xsd, or
         .dtd (detected by extension or content). Prints violations, or
         with --rules the relevant BonXai rule for every element.
-        --fast requires the product-automaton path (fails on schemas
-        whose relevance product exceeds the state budget); --lockstep
-        forces the reference evaluator. With --stream (BonXai schemas)
+        --fast requires the compiled product automaton (fails on
+        schemas whose relevance product exceeds the state budget, which
+        otherwise intern the product states a document reaches, up to
+        the budget); --lockstep interns none and steps every rule's
+        ancestor automaton per element, the reference evaluator. With
+        --stream (BonXai schemas)
         the document — a file, or `-` for stdin — is validated in one
         streaming pass using O(depth) memory, never building a tree;
         the report is identical to tree validation. With several
@@ -76,9 +79,10 @@ COMMANDS:
         Differential conformance: every valid_*.xml / invalid_*.xml in
         <dir> (a corpus directory holding a schema.bonxai, or a
         directory of such directories, e.g. data/conformance) is
-        validated by the reference oracle and all four fast paths
-        (tree/stream × product/lock-step) under every lexer engine and
-        byte source. Any disagreement between paths — verdict,
+        validated by the reference oracle and all six fast paths
+        (tree/stream × compiled product, lock-step, and a product
+        interned on demand within a small budget) under every lexer
+        engine and byte source. Any disagreement between paths — verdict,
         violation list, error position, or rule matches — fails the
         run, as does a verdict contradicting the filename. With
         --fuzz N, additionally runs N iterations of structure-aware
@@ -103,8 +107,8 @@ OPTIONS:
     -o <file>    write output to a file instead of stdout
     --rules      (validate) print the relevant rule per element
     --matches    (validate) print all matching rules per element
-    --fast       (validate) require the product-automaton fast path
-    --lockstep   (validate) force the lock-step reference evaluator
+    --fast       (validate) require the compiled product automaton
+    --lockstep   (validate) step every rule's automaton (the reference)
     --stream     (validate) stream the document in O(depth) memory
     --jobs N     (validate, lint) worker count, clamped to core count
     --seed N     (sample) RNG seed (default 0)

@@ -380,6 +380,46 @@ fn check_rejects_schemas_nested_too_deep() {
 }
 
 #[test]
+fn xsd_commands_reject_schemas_nested_too_deep() {
+    // 8,000 nested `xs:sequence` particles, and 8,000 levels of inline
+    // element declarations: both used to overflow the stack (exit 134).
+    let n = 8_000;
+    let xs = "xmlns:xs=\"http://www.w3.org/2001/XMLSchema\"";
+    let cases = [
+        (
+            "sequences",
+            format!(
+                "<xs:schema {xs}><xs:element name=\"r\"><xs:complexType>{}\
+                 <xs:element name=\"x\"/>{}</xs:complexType></xs:element></xs:schema>",
+                "<xs:sequence>".repeat(n),
+                "</xs:sequence>".repeat(n)
+            ),
+        ),
+        (
+            "inline types",
+            format!(
+                "<xs:schema {xs}>{}{}</xs:schema>",
+                "<xs:element name=\"e\"><xs:complexType><xs:sequence>".repeat(n),
+                "</xs:sequence></xs:complexType></xs:element>".repeat(n)
+            ),
+        ),
+    ];
+    for (i, (what, src)) in cases.iter().enumerate() {
+        let path = std::env::temp_dir().join(format!("bonxai_cli_deep_{i}.xsd"));
+        std::fs::write(&path, src).expect("writes");
+        for command in ["check", "from-xsd", "lint"] {
+            let out = run(&[command, path.to_str().expect("utf8")]);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{command} on {what}: {err}");
+            assert!(
+                err.contains("nested more than 512 levels deep"),
+                "{command} on {what}: {err}"
+            );
+        }
+    }
+}
+
+#[test]
 fn unknown_command_fails_gracefully() {
     let out = run(&["frobnicate"]);
     assert!(!out.status.success());

@@ -12,9 +12,13 @@
 //! [`check`] runs a single `(schema, document-bytes)` pair through
 //!
 //! * the **oracle** (naive tree walk, independent matching engines),
-//! * **tree-product** and **tree-lockstep** validation,
-//! * **stream-product** and **stream-lockstep** validation,
+//! * **tree-product**, **tree-lockstep** and **tree-lazy** validation,
+//! * **stream-product**, **stream-lockstep** and **stream-lazy**
+//!   validation,
 //!
+//! where the `lazy` paths run a compile whose product budget is too
+//! small for the schema ([`LAZY_BUDGET`]), so the walk interns a few
+//! product states on demand and steps tuples past them,
 //! each parse/stream under every lexer engine available on this machine
 //! (the detected SIMD kernel and the scalar fallback) plus the
 //! buffered-`io::Read` source. Every run must produce a report
@@ -38,11 +42,17 @@ use crate::validate::{BxsdReport, CompiledBxsd, ValidateOptions};
 use xmltree::simd::Engine;
 use xmltree::{parse_from_reader, Document, XmlReader};
 
+/// The product budget of the `lazy` paths. Two states go to the
+/// initial and dead seeds, so a walk interns two more on demand and
+/// steps tuples from there (unless the whole product fits in four).
+pub const LAZY_BUDGET: usize = 4;
+
 /// One validation run that disagreed with the reference answer.
 #[derive(Debug, Clone)]
 pub struct Divergence {
     /// Which path diverged: `oracle`, `tree-product`, `tree-lockstep`,
-    /// `stream-product`, `stream-lockstep`, or `parse`.
+    /// `tree-lazy`, `stream-product`, `stream-lockstep`, `stream-lazy`,
+    /// or `parse`.
     pub path: &'static str,
     /// Lexer engine and byte source the run used, e.g. `sse2/str`.
     pub config: String,
@@ -168,6 +178,7 @@ pub fn check(bxsd: &Bxsd, input: &str, record_matches: bool) -> Outcome {
 
     let want = oracle::validate_with(bxsd, &doc, record_matches);
     let compiled = CompiledBxsd::new(bxsd);
+    let small = CompiledBxsd::with_budget(bxsd, LAZY_BUDGET);
     let product = ValidateOptions {
         record_matches,
         force_lockstep: false,
@@ -190,8 +201,12 @@ pub fn check(bxsd: &Bxsd, input: &str, record_matches: bool) -> Outcome {
                     detail: format!("rejected input the reference parse accepts: {e}"),
                 }),
                 Ok(doc) => {
-                    for (path, opts) in [("tree-product", product), ("tree-lockstep", lockstep)] {
-                        if let Some(d) = diff_reports(&compiled.validate_with(&doc, opts), &want) {
+                    for (path, c, opts) in [
+                        ("tree-product", &compiled, product),
+                        ("tree-lockstep", &compiled, lockstep),
+                        ("tree-lazy", &small, product),
+                    ] {
+                        if let Some(d) = diff_reports(&c.validate_with(&doc, opts), &want) {
                             divergences.push(Divergence {
                                 path,
                                 config: format!("{name}/{src}"),
@@ -202,15 +217,19 @@ pub fn check(bxsd: &Bxsd, input: &str, record_matches: bool) -> Outcome {
                 }
             }
             // Streaming paths, re-lexing the bytes under the same config.
-            for (path, opts) in [("stream-product", product), ("stream-lockstep", lockstep)] {
+            for (path, c, opts) in [
+                ("stream-product", &compiled, product),
+                ("stream-lockstep", &compiled, lockstep),
+                ("stream-lazy", &small, product),
+            ] {
                 let got = if src == "str" {
                     let mut reader = XmlReader::from_str(input);
                     reader.set_engine(engine);
-                    compiled.validate_stream_with(&mut reader, opts)
+                    c.validate_stream_with(&mut reader, opts)
                 } else {
                     let mut reader = XmlReader::from_reader(input.as_bytes());
                     reader.set_engine(engine);
-                    compiled.validate_stream_with(&mut reader, opts)
+                    c.validate_stream_with(&mut reader, opts)
                 };
                 match got {
                     Err(e) => divergences.push(Divergence {

@@ -55,22 +55,30 @@
 //! byte. `tests/incremental_equivalence.rs` pins this against both the
 //! fresh validator and the oracle.
 //!
-//! Schemas whose relevance product exceeded its budget (Theorem 9
-//! fallback) have no product states to memoize; for them `revalidate`
-//! transparently degrades to a full fresh run — correct, just not
-//! incremental — and [`ValidationState::is_incremental`] reports it.
+//! ## Schemas past the product budget
+//!
+//! A schema whose relevance product outgrew the compile's budget
+//! (Theorem 9) memoizes states of an on-demand product instead, which
+//! the [`ValidationState`] keeps across calls: each walk interns the
+//! ancestor tuples it reaches, so a memoized state names the same tuple
+//! in every later call and the early stop works unchanged. That product
+//! needs no cap: a node's ancestor string never changes in place, so it
+//! holds at most one state per element id the arena hands out (plus the
+//! initial and dead states) — the bound the memo's per-node arrays
+//! already grow by.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use relang::ops::RelevanceProduct;
+use relang::Sym;
 use xmltree::{Document, Edit, NodeId};
 use xsd::violation::{Violation, ViolationKind};
 
-use crate::validate::{BxsdReport, CompiledBxsd, ProductEngine, StreamSink};
+use crate::validate::{AncEngine, BxsdReport, CompiledBxsd, LazyEngine, ProductEngine, StreamSink};
 
 /// Sentinel for "no ancestor product state stored" (text node, detached
-/// node, or never visited). Real product states are bounded by the
-/// compile budget, far below this.
+/// node, or never visited). Product states, compiled or on demand, stay
+/// below 2^31.
 const NOT_COMPUTED: u32 = u32::MAX;
 
 /// Persistent per-document validation memo, produced by
@@ -83,6 +91,9 @@ pub struct ValidationState {
     generation: u64,
     /// Per node: ancestor product state, or [`NOT_COMPUTED`].
     anc: Vec<u32>,
+    /// The on-demand product whose states `anc` holds, for a schema past
+    /// its product budget (`None` while its compiled product is used).
+    lazy: Option<RelevanceProduct>,
     /// Per node: the violations its *pass* emitted (for the node itself
     /// and `NoGoverningDefinition` for an unknown-named child).
     viols: Vec<Vec<Violation>>,
@@ -93,10 +104,8 @@ pub struct ValidationState {
     /// single `RootNotAllowed` violation and no passes run (matching
     /// the fresh validator's early return).
     root_rejected: bool,
-    /// Set when the schema has no relevance product (lock-step
-    /// fallback): the full fresh report, recomputed on every
-    /// revalidation.
-    fallback: Option<BxsdReport>,
+    /// The last `revalidate` reran the whole document.
+    full_rerun: bool,
     /// Elements whose pass ran during the last
     /// `validate_persistent`/`revalidate` call (the work measure the
     /// incremental engine is accountable to).
@@ -109,10 +118,12 @@ impl ValidationState {
         self.generation
     }
 
-    /// Whether revalidation is actually incremental (`false`: the
-    /// schema runs lock-step, so every revalidation is a full run).
+    /// Whether the last [`CompiledBxsd::revalidate`] replayed only the
+    /// passes its edits could change. `false`: it reran the whole
+    /// document, because the root was replaced or the edit log did not
+    /// reach the document's generation.
     pub fn is_incremental(&self) -> bool {
-        self.fallback.is_none()
+        !self.full_rerun
     }
 
     /// Elements whose pass was (re)executed by the last
@@ -125,9 +136,6 @@ impl ValidationState {
     /// Assembles the current report — byte-identical to
     /// [`CompiledBxsd::validate`] on the same document.
     pub fn report(&self) -> BxsdReport {
-        if let Some(r) = &self.fallback {
-            return r.clone();
-        }
         let mut violations = Vec::new();
         for &n in &self.has_viols {
             violations.extend_from_slice(&self.viols[n.0]);
@@ -192,18 +200,17 @@ impl CompiledBxsd<'_> {
         edits: &[(u64, Edit)],
     ) -> BxsdReport {
         state.passes = 0;
+        state.full_rerun = false;
         if state.generation == doc.generation() && edits.is_empty() {
             return state.report();
         }
-        // Lock-step fallback, a replaced root, or an edit trail that
-        // does not reach the document's current generation (the caller
-        // cleared the log too early): full fresh run.
+        // A replaced root, or an edit trail that does not reach the
+        // document's current generation (the caller cleared the log too
+        // early): full fresh run.
         let covered = edits.last().is_some_and(|&(g, _)| g == doc.generation());
-        if state.fallback.is_some()
-            || !covered
-            || edits.iter().any(|&(_, e)| e == Edit::RootReplaced)
-        {
+        if !covered || edits.iter().any(|&(_, e)| e == Edit::RootReplaced) {
             self.full_run(doc, &mut *state);
+            state.full_rerun = true;
             return state.report();
         }
         state.cover(doc.len());
@@ -214,11 +221,6 @@ impl CompiledBxsd<'_> {
             state.generation = doc.generation();
             return state.report();
         }
-        let p = self
-            .tables
-            .relevance
-            .as_deref()
-            .expect("incremental state implies a relevance product");
 
         // Detached subtrees first: their memo is stale, and a Dirty
         // entry pointing into one must be recognized as unreachable.
@@ -237,7 +239,7 @@ impl CompiledBxsd<'_> {
                 _ => None,
             })
             .collect();
-        self.replay(p, doc, state, dirty);
+        self.replay(doc, state, None, dirty);
         state.generation = doc.generation();
         state.report()
     }
@@ -248,20 +250,9 @@ impl CompiledBxsd<'_> {
         state.viols.clear();
         state.has_viols.clear();
         state.root_rejected = false;
-        state.fallback = None;
+        state.lazy = None;
         state.generation = doc.generation();
         state.passes = 0;
-        let Some(p) = self.tables.relevance.as_deref() else {
-            // No product ⇒ nothing to memoize; degrade to a stored
-            // fresh report (recomputed on every revalidation).
-            state.passes = doc.element_count();
-            state.fallback = Some(self.validate(doc));
-            return;
-        };
-        assert!(
-            (p.n_states() as u64) < u64::from(NOT_COMPUTED),
-            "product states collide with the NOT_COMPUTED sentinel"
-        );
         state.cover(doc.len());
         let root = doc.root();
         let root_name = doc.name(root).expect("root is an element");
@@ -275,34 +266,73 @@ impl CompiledBxsd<'_> {
             state.has_viols.insert(root);
             return;
         };
-        state.anc[root.0] = p.step(p.initial(), root_sym);
-        self.replay(p, doc, state, [root]);
+        self.replay(doc, state, Some(root_sym), [root]);
+    }
+
+    /// [`Self::replay_with`] on the schema's engine: its compiled
+    /// product when that fit the budget, else the state's on-demand
+    /// product, which the walk extends and leaves in the state.
+    fn replay(
+        &self,
+        doc: &Document,
+        state: &mut ValidationState,
+        root_sym: Option<Sym>,
+        starts: impl IntoIterator<Item = NodeId>,
+    ) {
+        match self.tables.relevance.as_deref() {
+            Some(p) => {
+                assert!(
+                    (p.n_states() as u64) < u64::from(NOT_COMPUTED),
+                    "product states collide with the NOT_COMPUTED sentinel"
+                );
+                self.replay_with(&ProductEngine(p), (), doc, state, root_sym, starts);
+            }
+            None => {
+                // No cap (module docs): a memoized state must stay a
+                // product state, never a tuple on the walk's stack.
+                let eng = LazyEngine::new(self, usize::MAX);
+                let store = eng.store(state.lazy.take());
+                let store = self.replay_with(&eng, store, doc, state, root_sym, starts);
+                state.lazy = Some(store.product);
+            }
+        }
     }
 
     /// Runs the validation walker from each of `starts` (ancestors
     /// first), seeded with its memoized ancestor state, which must be
-    /// current. The walk enters exactly those children whose recomputed
-    /// state differs from the memo, storing the new state; on a fresh
-    /// state every stored child state is [`NOT_COMPUTED`], so the same
-    /// walk performs the full traversal. A start that an earlier walk
-    /// already re-ran, or that a detach carried away, is skipped.
-    fn replay(
+    /// current; `root_sym` first seeds the root's state from its name.
+    /// The walk enters exactly those children whose recomputed state
+    /// differs from the memo, storing the new state; on a fresh state
+    /// every stored child state is [`NOT_COMPUTED`], so the same walk
+    /// performs the full traversal. A start that an earlier walk already
+    /// re-ran, or that a detach carried away, is skipped. Returns the
+    /// engine's store.
+    fn replay_with<E: AncEngine<State = u32>>(
         &self,
-        p: &RelevanceProduct,
+        eng: &E,
+        store: E::Store,
         doc: &Document,
         state: &mut ValidationState,
+        root_sym: Option<Sym>,
         starts: impl IntoIterator<Item = NodeId>,
-    ) {
-        let eng = ProductEngine(p);
-        let mut sink = StreamSink::new(self, &eng, false);
+    ) -> E::Store {
+        let mut sink = StreamSink::new(self, eng, false, store);
+        if let Some(sym) = root_sym {
+            state.anc[doc.root().0] = eng.start(&mut sink.store, sym);
+        }
         let syms = self.resolve_names(doc);
         let mut visited = HashSet::new();
         for start in starts {
-            if visited.contains(&start) || !is_attached(doc, start) {
+            // A start is attached exactly when it is memoized or an
+            // earlier walk of this call entered it: `revalidate` purged
+            // every detached subtree's memo, and nodes never move, so a
+            // detached node never gets one back; a node inserted since
+            // the last call is entered by its dirty parent's walk, which
+            // runs first.
+            let q = state.anc[start.0];
+            if q == NOT_COMPUTED || visited.contains(&start) {
                 continue;
             }
-            let q = state.anc[start.0];
-            debug_assert_ne!(q, NOT_COMPUTED, "attached ⇒ memoized");
             visited.insert(start);
             state.begin_pass(start);
             sink.walk(doc, &syms, start, q, |child, &q| {
@@ -327,17 +357,8 @@ impl CompiledBxsd<'_> {
                 state.viols[owner.0].push(v);
             }
         }
+        sink.store
     }
-}
-
-/// Whether `node` is still reachable from the document root (a logged
-/// dirty node may since have been carried away by a detach).
-fn is_attached(doc: &Document, node: NodeId) -> bool {
-    let mut n = node;
-    while let Some(parent) = doc.parent(n) {
-        n = parent;
-    }
-    n == doc.root()
 }
 
 #[cfg(test)]
@@ -389,7 +410,15 @@ mod tests {
     /// Drives one edit closure through the incremental engine and
     /// asserts report identity against a fresh validation.
     fn check(schema: &crate::bxsd::Bxsd, doc: &mut Document, edit: impl FnOnce(&mut Document)) {
-        let c = CompiledBxsd::new(schema);
+        check_compiled(&CompiledBxsd::new(schema), doc, edit);
+    }
+
+    /// [`check`] on a given compile; returns the passes the edit reran.
+    fn check_compiled(
+        c: &CompiledBxsd<'_>,
+        doc: &mut Document,
+        edit: impl FnOnce(&mut Document),
+    ) -> usize {
         doc.enable_edit_log();
         let mut state = c.validate_persistent(doc);
         assert_eq!(state.report().violations, c.validate(doc).violations);
@@ -400,6 +429,24 @@ mod tests {
         let want = c.validate(doc);
         assert_eq!(got.violations, want.violations);
         assert_eq!(state.report().violations, want.violations);
+        let root_replaced = edits.iter().any(|&(_, e)| e == Edit::RootReplaced);
+        assert_eq!(state.is_incremental(), !root_replaced);
+        state.last_passes()
+    }
+
+    /// Revalidates `doc` after `edit`, continuing from `state`, and
+    /// asserts report identity against a fresh validation.
+    fn step(
+        c: &CompiledBxsd<'_>,
+        doc: &mut Document,
+        state: &mut ValidationState,
+        edit: impl FnOnce(&mut Document),
+    ) {
+        let g = state.generation();
+        edit(doc);
+        let edits = doc.edit_log().unwrap().since(g).to_vec();
+        let got = c.revalidate(doc, state, &edits);
+        assert_eq!(got.violations, c.validate(doc).violations);
     }
 
     #[test]
@@ -499,24 +546,117 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_schema_degrades_to_full_runs() {
+    fn over_budget_schema_revalidates_incrementally() {
         let x = example();
-        let c = CompiledBxsd::with_budget(&x, 0);
-        let mut d = doc();
-        d.enable_edit_log();
-        let mut state = c.validate_persistent(&d);
-        assert!(!state.is_incremental());
-        assert_eq!(state.report().violations, c.validate(&d).violations);
-        let g = state.generation();
-        let section = d
-            .iter_elements()
-            .find(|&n| d.name(n) == Some("section"))
-            .unwrap();
-        d.remove_attribute(section, "title");
-        let edits = d.edit_log().unwrap().since(g).to_vec();
-        let got = c.revalidate(&d, &mut state, &edits);
-        assert_eq!(got.violations, c.validate(&d).violations);
-        assert!(!got.is_valid());
+        for budget in [0, 1] {
+            let c = CompiledBxsd::with_budget(&x, budget);
+            assert_eq!(c.product_states(), None);
+            let mut d = doc();
+            let section = d
+                .iter_elements()
+                .find(|&n| d.name(n) == Some("section"))
+                .unwrap();
+            let passes = check_compiled(&c, &mut d, |d| d.remove_attribute(section, "title"));
+            assert_eq!(passes, 1, "budget {budget}: one dirty leaf, one pass");
+            assert!(!c.validate(&d).is_valid());
+            assert_eq!(
+                c.validate(&d).violations,
+                CompiledBxsd::new(&x).validate(&d).violations,
+                "budget {budget}"
+            );
+        }
+    }
+
+    /// Rules whose ancestor patterns count depth modulo 2, 3, 5, 7, 11
+    /// and 13 over the one name `a`: the product is the 30,030 residue
+    /// tuples of a chain, past [`crate::DEFAULT_PRODUCT_BUDGET`]. Every
+    /// `a` may have one child; depths divisible by 13 need an `id`.
+    fn depth_counting() -> crate::bxsd::Bxsd {
+        let mut b = BxsdBuilder::new();
+        b.start("a");
+        let a = b.ename.intern("a");
+        let one_child = || ContentModel::new(Regex::opt(Regex::sym(a)));
+        b.rule(Regex::plus(Regex::sym(a)), one_child());
+        for p in [2, 3, 5, 7, 11, 13] {
+            let mut model = one_child();
+            if p == 13 {
+                model = model.with_attributes([AttributeUse::required("id")]);
+            }
+            let period = Regex::word(&vec![a; p]);
+            b.rule(Regex::plus(period), model);
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn deep_chain_past_the_budget_inserts_in_few_passes() {
+        let x = depth_counting();
+        let c = CompiledBxsd::new(&x);
+        assert_eq!(c.product_states(), None, "past the default budget");
+        let mut d = Document::new("a");
+        let mut at = d.root();
+        let mut middle = at;
+        for depth in 1..4000 {
+            at = d.add_element(at, "a");
+            if depth == 2000 {
+                middle = at;
+            }
+        }
+        let passes = check_compiled(&c, &mut d, |d| {
+            d.insert_child(middle, 0, "a");
+        });
+        assert!(passes <= 3, "{passes} passes for one insert");
+        assert!(!c.validate(&d).is_valid());
+    }
+
+    #[test]
+    fn dirty_node_under_an_earlier_detach_is_skipped() {
+        let x = example();
+        for c in [CompiledBxsd::new(&x), CompiledBxsd::with_budget(&x, 1)] {
+            let mut d = doc();
+            let content = d
+                .iter_elements()
+                .find(|&n| d.name(n) == Some("content"))
+                .unwrap();
+            let section = d
+                .iter_elements()
+                .find(|&n| d.name(n) == Some("section"))
+                .unwrap();
+            let inner = d.add_element(section, "section");
+            d.enable_edit_log();
+            let mut state = c.validate_persistent(&d);
+            step(&c, &mut d, &mut state, |d| d.remove_child(content, section));
+            // The detached subtree is edited after the call that purged
+            // it: its Dirty entries must not be replayed.
+            step(&c, &mut d, &mut state, |d| {
+                d.remove_attribute(inner, "title");
+                d.add_element(inner, "zzz");
+            });
+            assert!(state.is_incremental());
+            assert_eq!(state.last_passes(), 0, "nothing attached was edited");
+            assert!(state.report().is_valid());
+        }
+    }
+
+    #[test]
+    fn node_inserted_then_edited_in_one_batch_is_replayed_once() {
+        let x = example();
+        for c in [CompiledBxsd::new(&x), CompiledBxsd::with_budget(&x, 1)] {
+            let mut d = doc();
+            let content = d
+                .iter_elements()
+                .find(|&n| d.name(n) == Some("content"))
+                .unwrap();
+            let passes = check_compiled(&c, &mut d, |d| {
+                let s = d.insert_child(content, 0, "section");
+                d.set_attribute(s, "title", "new");
+                let t = d.add_element(s, "section");
+                d.add_text(t, "untitled");
+            });
+            // content's pass, then the new section's and its child's.
+            assert_eq!(passes, 3);
+            assert!(!c.validate(&d).is_valid(), "the inner section has no title");
+        }
     }
 
     #[test]

@@ -24,19 +24,29 @@
 //! and every path orders violations canonically (stable-sorted by node,
 //! i.e. document order).
 //!
-//! ## Two ancestor engines
+//! ## One ancestor product, complete or on demand
 //!
-//! * **Product** (the default): a [`RelevanceProduct`] — the reachable
-//!   synchronized product of all N ancestor DFAs, each state annotated
-//!   with its matching set and relevant rule. Per node this costs a
-//!   *single* transition lookup instead of N. Lemma 7 is the paper-side
-//!   justification: relevance is readable off product states.
-//! * **Lock-step** (the fallback and the reference): all N DFAs advanced
-//!   side by side, `None` = dead. The product is worst-case exponential
-//!   (Theorem 9), so [`CompiledBxsd::with_budget`] bounds its size and
-//!   falls back to lock-step transparently when the bound is exceeded.
+//! A node's ancestor state is a state of the [`RelevanceProduct`] — the
+//! synchronized product of all N ancestor DFAs, each state annotated
+//! with its matching set and relevant rule — so per node it costs a
+//! *single* transition lookup instead of N. Lemma 7 is the paper-side
+//! justification: relevance is readable off product states. The product
+//! is worst-case exponential (Theorem 9), so the compile explores it
+//! within a budget ([`CompiledBxsd::with_budget`]), and a walk uses it
+//! in one of two ways:
 //!
-//! Both engines produce byte-identical reports — the equivalence proptest
+//! * **Complete** (the product fit the budget): the compiled table,
+//!   [`ProductEngine`]. A walk reads it and allocates nothing new.
+//! * **On demand** (past the budget): [`LazyEngine`] steps a product of
+//!   the walk's own that interns each ancestor tuple the first time the
+//!   walk reaches it, up to the budget; a document reaches one state per
+//!   distinct ancestor tuple, usually a handful. Past that cap the walk
+//!   steps the tuples themselves — all N DFAs side by side — on a flat
+//!   stack. [`ValidateOptions::force_lockstep`] is a cap of 0: nothing
+//!   is interned and every element steps its tuple, the reference the
+//!   product paths are tested against.
+//!
+//! All paths produce byte-identical reports — the equivalence proptest
 //! in `tests/validate_equivalence.rs` pins that down. Per-node
 //! [`NodeMatch`] recording is opt-in via
 //! [`ValidateOptions::record_matches`]; validation itself never needs it.
@@ -45,6 +55,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use relang::cache::AutomataCache;
+use relang::ops::ancestor::{matching_components, step_component};
 use relang::ops::{ProductState, RelevanceProduct};
 use relang::{CompiledDre, Dfa, Regex, StateId, Sym};
 use xmltree::stream::{AttrList, ByteSrc, EventSink, TextChunk, TextInterest, XmlReader};
@@ -53,9 +64,10 @@ use xsd::violation::{Violation, ViolationKind};
 
 use crate::bxsd::Bxsd;
 
-/// Default cap on relevance-product states; beyond this the validator
-/// silently falls back to lock-step evaluation (Theorem 9 makes a cap
-/// mandatory — the product can be exponential in the rule count).
+/// Default cap on relevance-product states: the compile explores the
+/// whole product within it, and a walk over a schema past it interns at
+/// most this many states on demand (Theorem 9 makes a cap mandatory —
+/// the product can be exponential in the rule count).
 pub const DEFAULT_PRODUCT_BUDGET: usize = 1 << 14;
 
 /// Per-node rule-match information.
@@ -75,8 +87,9 @@ pub struct ValidateOptions {
     /// Record a [`NodeMatch`] for every element (needed for rule
     /// highlighting; costs an allocation per node, so off by default).
     pub record_matches: bool,
-    /// Use the lock-step reference evaluator even when the relevance
-    /// product is available (ablations, differential testing).
+    /// Intern no product state: every element steps all N ancestor DFAs
+    /// side by side, as an on-demand product capped at 0 states would
+    /// (the reference path for ablations and differential testing).
     pub force_lockstep: bool,
 }
 
@@ -119,6 +132,9 @@ pub(crate) struct CompiledTables {
     ancestor_dfas: Vec<Arc<Dfa>>,
     content_matchers: Vec<Arc<CompiledDre>>,
     pub(crate) relevance: Option<Arc<RelevanceProduct>>,
+    /// The product budget of the compile, which also caps the states a
+    /// walk interns on demand when `relevance` is `None`.
+    budget: usize,
     meta: Vec<RuleMeta>,
 }
 
@@ -168,6 +184,7 @@ impl CompiledTables {
             ancestor_dfas,
             content_matchers,
             relevance,
+            budget,
             meta,
         }
     }
@@ -181,8 +198,9 @@ impl<'a> CompiledBxsd<'a> {
     }
 
     /// Compiles `bxsd`, allowing at most `budget` relevance-product
-    /// states. A budget of 0 disables the product entirely; validation
-    /// then always runs lock-step.
+    /// states. Past it, walks intern up to `budget` states on demand. A
+    /// budget of 0 disables the product entirely; validation then always
+    /// steps all N ancestor DFAs side by side.
     pub fn with_budget(bxsd: &'a Bxsd, budget: usize) -> Self {
         let tables = Arc::new(CompiledTables::build(bxsd, budget, None));
         CompiledBxsd { bxsd, tables }
@@ -204,7 +222,7 @@ impl<'a> CompiledBxsd<'a> {
     }
 
     /// Number of relevance-product states, or `None` when the product
-    /// exceeded its budget (validation falls back to lock-step).
+    /// exceeded its budget (walks then intern states on demand).
     pub fn product_states(&self) -> Option<usize> {
         self.tables.relevance.as_ref().map(|p| p.n_states())
     }
@@ -230,18 +248,13 @@ impl<'a> CompiledBxsd<'a> {
                 matches: BTreeMap::new(),
             };
         };
-        let mut report = match (&self.tables.relevance, opts.force_lockstep) {
-            (Some(p), false) => {
-                self.walk_tree(&ProductEngine(p), doc, root_sym, opts.record_matches)
+        let record = opts.record_matches;
+        let mut report = match self.complete_product(opts) {
+            Some(p) => self.walk_tree(&ProductEngine(p), (), doc, root_sym, record),
+            None => {
+                let eng = self.lazy_engine(opts);
+                self.walk_tree(&eng, eng.store(None), doc, root_sym, record)
             }
-            _ => self.walk_tree(
-                &LockstepEngine {
-                    dfas: &self.tables.ancestor_dfas,
-                },
-                doc,
-                root_sym,
-                opts.record_matches,
-            ),
         };
         report.violations.sort_by_key(|v| v.node);
         report
@@ -273,20 +286,36 @@ impl<'a> CompiledBxsd<'a> {
         reader: &mut XmlReader<S>,
         opts: ValidateOptions,
     ) -> Result<BxsdReport, xmltree::ParseError> {
-        let mut report = match (&self.tables.relevance, opts.force_lockstep) {
-            (Some(p), false) => {
-                self.drive_stream(reader, &ProductEngine(p), opts.record_matches)?
+        let record = opts.record_matches;
+        let mut report = match self.complete_product(opts) {
+            Some(p) => self.drive_stream(reader, &ProductEngine(p), (), record)?,
+            None => {
+                let eng = self.lazy_engine(opts);
+                self.drive_stream(reader, &eng, eng.store(None), record)?
             }
-            _ => self.drive_stream(
-                reader,
-                &LockstepEngine {
-                    dfas: &self.tables.ancestor_dfas,
-                },
-                opts.record_matches,
-            )?,
         };
         report.violations.sort_by_key(|v| v.node);
         Ok(report)
+    }
+
+    /// The compiled product, when it fit the budget and `opts` do not
+    /// force lock-step.
+    fn complete_product(&self, opts: ValidateOptions) -> Option<&RelevanceProduct> {
+        self.tables
+            .relevance
+            .as_deref()
+            .filter(|_| !opts.force_lockstep)
+    }
+
+    /// The on-demand engine for a walk under `opts`, capped at the
+    /// compile's budget (at 0 when `opts` force lock-step).
+    fn lazy_engine(&self, opts: ValidateOptions) -> LazyEngine<'_> {
+        let cap = if opts.force_lockstep {
+            0
+        } else {
+            self.tables.budget
+        };
+        LazyEngine::new(self, cap)
     }
 
     /// One walk over the whole of `doc`, whose root (already checked
@@ -294,11 +323,12 @@ impl<'a> CompiledBxsd<'a> {
     fn walk_tree<E: AncEngine>(
         &self,
         eng: &E,
+        store: E::Store,
         doc: &Document,
         root_sym: Sym,
         record: bool,
     ) -> BxsdReport {
-        let mut sink = StreamSink::new(self, eng, record);
+        let mut sink = StreamSink::new(self, eng, record, store);
         let syms = self.resolve_names(doc);
         let state = eng.start(&mut sink.store, root_sym);
         sink.walk(doc, &syms, doc.root(), state, |_, _| true);
@@ -310,9 +340,10 @@ impl<'a> CompiledBxsd<'a> {
         &self,
         reader: &mut XmlReader<S>,
         eng: &E,
+        store: E::Store,
         record: bool,
     ) -> Result<BxsdReport, xmltree::ParseError> {
-        let mut sink = StreamSink::new(self, eng, record);
+        let mut sink = StreamSink::new(self, eng, record, store);
         reader.drive(&mut sink)?;
         Ok(sink.report)
     }
@@ -334,10 +365,11 @@ impl<'a> CompiledBxsd<'a> {
 /// owns; the walker creates and retires states in stack order.
 pub(crate) trait AncEngine {
     /// The per-element ancestor state (a product state, or where a
-    /// lock-step tuple sits in the store).
+    /// tuple sits in the store).
     type State;
-    /// Storage behind the live states (nothing for the product).
-    type Store: Default;
+    /// What the walk steps beyond the engine itself (nothing for the
+    /// complete product).
+    type Store;
     /// State of the root element (its ancestor string is `root_sym`).
     fn start(&self, store: &mut Self::Store, root_sym: Sym) -> Self::State;
     /// State of a child reached by `sym` from `parent`.
@@ -353,7 +385,8 @@ pub(crate) trait AncEngine {
     fn retire(&self, _store: &mut Self::Store, _q: Self::State) {}
 }
 
-/// Relevance-product engine: one table lookup per transition (Lemma 7).
+/// The complete relevance product: one table lookup per transition
+/// (Lemma 7).
 pub(crate) struct ProductEngine<'a>(pub(crate) &'a RelevanceProduct);
 
 impl AncEngine for ProductEngine<'_> {
@@ -381,85 +414,129 @@ impl AncEngine for ProductEngine<'_> {
     }
 }
 
-/// Lock-step engine: all N ancestor DFAs advanced side by side, used
-/// when the product exceeded its budget. The live N-tuples sit back to
-/// back in one flat store, innermost last, so a walk allocates nothing
-/// per element; a state is its tuple's offset in the store.
-struct LockstepEngine<'a> {
-    dfas: &'a [Arc<Dfa>],
+/// Tag bit of a [`LazyEngine`] state that is a tuple on the store's
+/// stack (the rest is its index there) instead of a product state.
+const ON_STACK: u32 = 1 << 31;
+
+/// The on-demand product: a walk steps a [`RelevanceProduct`] of its
+/// own that interns each ancestor tuple on its first visit, as long as
+/// it holds fewer than `cap` states. Past the cap, a child steps its
+/// tuple — all N ancestor DFAs side by side — onto a flat stack in the
+/// store, innermost last, so a walk allocates nothing per element.
+pub(crate) struct LazyEngine<'a> {
+    dfas: Vec<&'a Dfa>,
+    n_syms: usize,
+    cap: usize,
 }
 
-/// A lock-step component whose DFA has died.
-const DEAD: u32 = u32::MAX;
-
-impl LockstepEngine<'_> {
-    /// The rules whose ancestor DFA accepts in the tuple at `q`, in
-    /// schema order.
-    fn accepting<'s>(
-        &'s self,
-        store: &'s [u32],
-        q: usize,
-    ) -> impl DoubleEndedIterator<Item = usize> + 's {
-        store[q..q + self.dfas.len()]
-            .iter()
-            .zip(self.dfas)
-            .enumerate()
-            .filter_map(|(i, (&s, d))| (s != DEAD && d.is_final(s as StateId)).then_some(i))
-    }
+/// What a [`LazyEngine`] walk steps: the on-demand product, and the
+/// live tuples of the states past its cap.
+pub(crate) struct LazyStore {
+    pub(crate) product: RelevanceProduct,
+    tuples: Vec<u32>,
 }
 
-/// One component's step: `s` read `sym`.
-fn lockstep_next(d: &Dfa, s: u32, sym: Sym) -> u32 {
-    if s == DEAD {
-        return DEAD;
-    }
-    d.transition(s as StateId, sym).map_or(DEAD, |t| t as u32)
-}
-
-impl AncEngine for LockstepEngine<'_> {
-    type State = usize;
-    type Store = Vec<u32>;
-
-    fn start(&self, store: &mut Vec<u32>, root_sym: Sym) -> usize {
-        let at = store.len();
-        store.extend(
-            self.dfas
-                .iter()
-                .map(|d| lockstep_next(d, d.initial() as u32, root_sym)),
-        );
-        at
-    }
-
-    fn child(&self, store: &mut Vec<u32>, parent: &usize, sym: Sym) -> usize {
-        let at = store.len();
-        store.extend_from_within(*parent..*parent + self.dfas.len());
-        for (s, d) in store[at..].iter_mut().zip(self.dfas) {
-            *s = lockstep_next(d, *s, sym);
+impl<'a> LazyEngine<'a> {
+    /// The engine of `cx`, interning at most `cap` states (below
+    /// [`ON_STACK`], so a state's tag bit stays free).
+    pub(crate) fn new(cx: &'a CompiledBxsd<'_>, cap: usize) -> Self {
+        LazyEngine {
+            dfas: cx.tables.ancestor_dfas.iter().map(Arc::as_ref).collect(),
+            n_syms: cx.bxsd.ename.len(),
+            cap: cap.min(ON_STACK as usize),
         }
-        at
     }
 
-    fn dead(&self, store: &mut Vec<u32>) -> usize {
-        let at = store.len();
-        store.resize(at + self.dfas.len(), DEAD);
-        at
+    /// A store around `product`, an on-demand product an earlier walk
+    /// of this engine left behind, or around a fresh one.
+    pub(crate) fn store(&self, product: Option<RelevanceProduct>) -> LazyStore {
+        LazyStore {
+            product: product
+                .unwrap_or_else(|| RelevanceProduct::on_demand(self.n_syms, &self.dfas)),
+            tuples: Vec::new(),
+        }
     }
 
-    fn relevant(&self, store: &Vec<u32>, q: &usize) -> Option<usize> {
-        self.accepting(store, *q).next_back()
+    /// The tuple of a stacked state `q`.
+    fn stacked<'s>(&self, store: &'s LazyStore, q: u32) -> &'s [u32] {
+        let at = (q & !ON_STACK) as usize * self.dfas.len();
+        &store.tuples[at..at + self.dfas.len()]
+    }
+}
+
+impl AncEngine for LazyEngine<'_> {
+    type State = u32;
+    type Store = LazyStore;
+
+    fn start(&self, store: &mut LazyStore, root_sym: Sym) -> u32 {
+        let initial = store.product.initial();
+        self.child(store, &initial, root_sym)
     }
 
-    fn matching(&self, store: &Vec<u32>, q: &usize) -> Vec<usize> {
-        self.accepting(store, *q).collect()
+    #[inline]
+    fn child(&self, store: &mut LazyStore, parent: &u32, sym: Sym) -> u32 {
+        let n = self.dfas.len();
+        let index = store.tuples.len() / n.max(1);
+        if parent & ON_STACK == 0 {
+            if let Some(q) = store
+                .product
+                .step_on_demand(&self.dfas, *parent, sym, self.cap)
+            {
+                return q;
+            }
+            // The product is full: this child is the first of its
+            // subtree past the cap.
+            let from = store.product.tuple(*parent);
+            store.tuples.extend(
+                from.iter()
+                    .zip(&self.dfas)
+                    .map(|(&q, d)| step_component(d, q, sym)),
+            );
+        } else {
+            let at = (parent & !ON_STACK) as usize * n;
+            store.tuples.extend_from_within(at..at + n);
+            for (q, d) in store.tuples[index * n..].iter_mut().zip(&self.dfas) {
+                *q = step_component(d, *q, sym);
+            }
+        }
+        ON_STACK | index as u32
     }
 
-    fn retire(&self, store: &mut Vec<u32>, q: usize) {
-        debug_assert_eq!(
-            store.len(),
-            q + self.dfas.len(),
-            "states retire in stack order"
-        );
-        store.truncate(q);
+    fn dead(&self, store: &mut LazyStore) -> u32 {
+        store.product.dead()
+    }
+
+    fn relevant(&self, store: &LazyStore, q: &u32) -> Option<usize> {
+        if q & ON_STACK == 0 {
+            store.product.relevant(*q).map(|i| i as usize)
+        } else {
+            matching_components(self.stacked(store, *q), &self.dfas)
+                .next_back()
+                .map(|i| i as usize)
+        }
+    }
+
+    fn matching(&self, store: &LazyStore, q: &u32) -> Vec<usize> {
+        if q & ON_STACK == 0 {
+            let matching = store.product.matching(*q).iter();
+            matching.map(|&i| i as usize).collect()
+        } else {
+            matching_components(self.stacked(store, *q), &self.dfas)
+                .map(|i| i as usize)
+                .collect()
+        }
+    }
+
+    fn retire(&self, store: &mut LazyStore, q: u32) {
+        if q & ON_STACK != 0 {
+            let at = (q & !ON_STACK) as usize * self.dfas.len();
+            debug_assert_eq!(
+                store.tuples.len(),
+                at + self.dfas.len(),
+                "states retire in stack order"
+            );
+            store.tuples.truncate(at);
+        }
     }
 }
 
@@ -504,7 +581,7 @@ const NO_RULE: u32 = u32::MAX;
 /// words, accumulated text, violation vectors) lives on the sink's
 /// [`BufStack`]s, taken only by the frames that need it, so what remains
 /// is small enough to stay in cache (a compile-time assertion below pins
-/// the size for both engines).
+/// the size; both engines' states are `u32`).
 struct HotFrame<'c, St> {
     node: NodeId,
     /// Content DFA of the relevant rule, stepped inline via `q`
@@ -526,20 +603,19 @@ struct HotFrame<'c, St> {
     flags: u8,
 }
 
-// The layout guard the frame diet is accountable to: both engines' hot
-// frames fit a single cache line. `frames_bytes` in the validation
-// bench JSON reports the same numbers, so regressions show up in
+// The layout guard the frame diet is accountable to: a hot frame fits
+// a single cache line. `frames_bytes` in the validation bench JSON
+// reports the same numbers, so regressions show up in
 // BENCH_validation.json too.
 const _: () = assert!(std::mem::size_of::<HotFrame<'static, ProductState>>() <= 64);
-const _: () = assert!(std::mem::size_of::<HotFrame<'static, usize>>() <= 64);
 
-/// Hot-frame sizes in bytes, `(product engine, lock-step engine)` —
-/// exported so the bench harness records frame-layout regressions.
+/// Hot-frame sizes in bytes, `(complete product, on-demand product)` —
+/// exported so the bench harness records frame-layout regressions. Both
+/// engines' states are `u32`, so the two are equal.
 pub fn stream_frame_sizes() -> (usize, usize) {
-    (
-        std::mem::size_of::<HotFrame<'static, ProductState>>(),
-        std::mem::size_of::<HotFrame<'static, usize>>(),
-    )
+    let product = std::mem::size_of::<HotFrame<'static, ProductState>>();
+    let on_demand = std::mem::size_of::<HotFrame<'static, <LazyEngine as AncEngine>::State>>();
+    (product, on_demand)
 }
 
 /// Per-rule frame-setup decisions, computed once per compile so opening
@@ -689,8 +765,9 @@ pub(crate) struct StreamSink<'c, E: AncEngine> {
     /// until their close. Almost always empty: valid attribute lists
     /// park nothing.
     attrs: BufStack<Vec<Violation>>,
-    /// Storage behind the open frames' ancestor states.
-    store: E::Store,
+    /// What the engine steps: storage behind the open frames' ancestor
+    /// states, and an on-demand product.
+    pub(crate) store: E::Store,
     /// Reader adapter: next node id, counting element and text nodes in
     /// event order — the arena allocation order of the tree parser.
     next_node: usize,
@@ -706,7 +783,7 @@ pub(crate) struct StreamSink<'c, E: AncEngine> {
 }
 
 impl<'c, E: AncEngine> StreamSink<'c, E> {
-    pub(crate) fn new(cx: &'c CompiledBxsd<'_>, eng: &'c E, record: bool) -> Self {
+    pub(crate) fn new(cx: &'c CompiledBxsd<'_>, eng: &'c E, record: bool, store: E::Store) -> Self {
         StreamSink {
             bxsd: cx.bxsd,
             tables: &cx.tables,
@@ -717,7 +794,7 @@ impl<'c, E: AncEngine> StreamSink<'c, E> {
             words: BufStack::default(),
             texts: BufStack::default(),
             attrs: BufStack::default(),
-            store: E::Store::default(),
+            store,
             next_node: 0,
             root_rejected: false,
             syms: Vec::new(),

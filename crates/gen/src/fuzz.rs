@@ -11,7 +11,7 @@
 //! compaction in the incremental reader.
 //!
 //! Every mutated input runs through [`bonxai_core::conformance::check`]
-//! — oracle, four fast paths, every lexer engine, both byte sources —
+//! — oracle, six fast paths, every lexer engine, both byte sources —
 //! under `catch_unwind`. Two signals count as bugs, and only two:
 //!
 //! * a **panic** anywhere in lexing, parsing, or validation, and
@@ -415,8 +415,12 @@ fn replay_edits(
     rng: &mut impl Rng,
 ) -> (String, Vec<String>, bool) {
     let compiled = CompiledBxsd::new(bxsd);
+    // The same edits, replayed on a compile past its product budget,
+    // whose state keeps an on-demand product.
+    let lazy = CompiledBxsd::with_budget(bxsd, conformance::LAZY_BUDGET);
     doc.enable_edit_log();
     let mut state = compiled.validate_persistent(doc);
+    let mut lazy_state = lazy.validate_persistent(doc);
     let mut divergences = Vec::new();
     let n_edits = rng.gen_range(1usize..=5);
     // Replay either after every edit or once for the whole script.
@@ -428,6 +432,13 @@ fn replay_edits(
         if stepwise || k + 1 == n_edits {
             let edits: Vec<(u64, Edit)> = doc.edit_log().unwrap().since(from).to_vec();
             got = compiled.revalidate(doc, &mut state, &edits);
+            let on_demand = lazy.revalidate(doc, &mut lazy_state, &edits);
+            if on_demand.violations != got.violations {
+                divergences.push(format!(
+                    "revalidate on demand vs compiled product after edit {k}: {:?} vs {:?}",
+                    on_demand.violations, got.violations
+                ));
+            }
             from = state.generation();
             let fresh = compiled.validate(doc);
             if got.violations != fresh.violations {

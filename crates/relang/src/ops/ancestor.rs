@@ -29,13 +29,23 @@
 //! path, which the recorded predecessor edge reconstructs. The
 //! exploration gives up as soon as the reachable product outgrows its
 //! budget (Theorem 9 says it can be exponential in the rule count).
+//!
+//! [`AncestorSpace::on_demand`] builds the same space the other way
+//! round: it interns the seeds and nothing else, and
+//! [`AncestorSpace::step_on_demand`] expands one state along one symbol
+//! the first time a walk asks, interning the successor on its first
+//! visit. A walk over a document thus interns only the tuples its
+//! ancestor strings reach, however large the whole product is. Both
+//! modes step tuples with [`step_component`] and annotate a state with
+//! the same routine, so they agree state for state on matching sets and
+//! relevant components.
 
 use crate::alphabet::Sym;
 use crate::dfa::Dfa;
 use crate::ops::subset::SubsetInterner;
 
 /// Per-component sentinel for "this rule automaton has rejected".
-const DEAD_COMPONENT: u32 = u32::MAX;
+pub const DEAD_COMPONENT: u32 = u32::MAX;
 
 /// Sentinel for "none": an unfollowed symbol in the successor table, no
 /// relevant component, and a seed's missing predecessor or symbol.
@@ -81,12 +91,24 @@ pub struct AncestorSpace {
     /// The state each seed interned to, in seed order.
     seeds: Vec<u32>,
     /// Row-major `n_states × n_syms` successors; [`NONE`] marks a
-    /// symbol the state was not expanded along.
+    /// symbol the state was not (or, on demand, not yet) expanded along.
     table: Vec<u32>,
     /// Per state: first-discovery `(predecessor, symbol)`. A seeded
     /// state has predecessor [`NONE`] and its seed's symbol ([`NONE`]
     /// for [`Seed::Initial`] and [`Seed::Dead`]).
     pred: Vec<(u32, u32)>,
+    notes: Annotations,
+    /// The interned tuples, kept by an on-demand space to expand its
+    /// states later; [`AncestorSpace::explore`] drops its own once the
+    /// space is complete.
+    tuples: Option<SubsetInterner>,
+    /// The successor tuple being stepped (on-demand expansion).
+    scratch: Vec<u32>,
+}
+
+/// Per-state rule annotations, in state order.
+#[derive(Clone, Debug)]
+struct Annotations {
     /// Per state: largest matching component index, or [`NONE`].
     relevant: Vec<u32>,
     /// Per state: offset range into `match_data` (CSR layout).
@@ -95,41 +117,64 @@ pub struct AncestorSpace {
     match_data: Vec<u32>,
 }
 
-/// The largest component of `tuple` in an accepting state.
-fn relevant_of(tuple: &[u32], components: &[&Dfa]) -> Option<u32> {
-    (0..tuple.len())
-        .rev()
-        .find(|&i| tuple[i] != DEAD_COMPONENT && components[i].is_final(tuple[i] as usize))
-        .map(|i| i as u32)
+impl Annotations {
+    fn new() -> Annotations {
+        Annotations {
+            relevant: Vec::new(),
+            match_off: vec![0],
+            match_data: Vec::new(),
+        }
+    }
+
+    /// Annotates the next state, whose tuple is `tuple`.
+    fn push(&mut self, tuple: &[u32], components: &[&Dfa]) {
+        let lo = self.match_data.len();
+        self.match_data
+            .extend(matching_components(tuple, components));
+        self.match_off.push(self.match_data.len() as u32);
+        self.relevant
+            .push(self.match_data[lo..].last().copied().unwrap_or(NONE));
+    }
 }
 
-/// Writes `δ(from, a)` component-wise into `into`; a missing transition
-/// parks the component on [`DEAD_COMPONENT`].
+/// One component's step: state `q` of `d` reads `a`. A missing
+/// transition parks the component on [`DEAD_COMPONENT`], where it stays.
+#[inline]
+pub fn step_component(d: &Dfa, q: u32, a: Sym) -> u32 {
+    if q == DEAD_COMPONENT {
+        return DEAD_COMPONENT;
+    }
+    d.transition(q as usize, a)
+        .map_or(DEAD_COMPONENT, |t| t as u32)
+}
+
+/// The components of `tuple` in an accepting state, ascending: the last
+/// one is the relevant component.
+pub fn matching_components<'t>(
+    tuple: &'t [u32],
+    components: &'t [&'t Dfa],
+) -> impl DoubleEndedIterator<Item = u32> + 't {
+    tuple
+        .iter()
+        .zip(components)
+        .enumerate()
+        .filter(|(_, (&q, d))| q != DEAD_COMPONENT && d.is_final(q as usize))
+        .map(|(i, _)| i as u32)
+}
+
+/// Writes `δ(from, a)` component-wise into `into`.
 #[inline]
 fn step_tuple(from: &[u32], a: Sym, components: &[&Dfa], into: &mut Vec<u32>) {
     into.clear();
     for (&q, d) in from.iter().zip(components) {
-        into.push(if q == DEAD_COMPONENT {
-            DEAD_COMPONENT
-        } else {
-            d.transition(q as usize, a)
-                .map_or(DEAD_COMPONENT, |t| t as u32)
-        });
+        into.push(step_component(d, q, a));
     }
 }
 
 impl AncestorSpace {
-    /// Explores the product of `components` (each over `n_syms`
-    /// symbols) from `seeds`, expanding each state along the symbols
-    /// `follow` picks. Returns `None` as soon as more than `budget`
-    /// states exist.
-    pub fn explore(
-        n_syms: usize,
-        components: &[&Dfa],
-        seeds: &[Seed],
-        mut follow: Follow,
-        budget: usize,
-    ) -> Option<AncestorSpace> {
+    /// A space with no states yet, for `components` over `n_syms`
+    /// symbols. Returns it with the number of tuples that can exist.
+    fn empty(n_syms: usize, components: &[&Dfa]) -> (AncestorSpace, usize) {
         let mut bound = 1usize;
         for &d in components {
             assert_eq!(d.n_syms(), n_syms, "component alphabet mismatch");
@@ -139,13 +184,22 @@ impl AncestorSpace {
             );
             bound = bound.saturating_mul(d.n_states() + 1);
         }
-        // No more tuples exist than the product of component sizes
-        // (dead included), so small products get a small index.
-        let mut tuples = SubsetInterner::with_capacity(bound.min(budget).clamp(16, 1 << 12));
-        let mut pred: Vec<(u32, u32)> = Vec::new();
-        let mut seed_ids = Vec::with_capacity(seeds.len());
-        let mut scratch: Vec<u32> = Vec::with_capacity(components.len());
-        let mut cur: Vec<u32> = Vec::with_capacity(components.len());
+        let space = AncestorSpace {
+            n_syms,
+            n_components: components.len(),
+            seeds: Vec::with_capacity(2),
+            table: Vec::new(),
+            pred: Vec::new(),
+            notes: Annotations::new(),
+            tuples: None,
+            scratch: Vec::with_capacity(components.len()),
+        };
+        (space, bound)
+    }
+
+    /// Interns `seeds` into `tuples` in order, recording each new
+    /// state's seed edge.
+    fn plant(&mut self, tuples: &mut SubsetInterner, components: &[&Dfa], seeds: &[Seed]) {
         // A component with no states at all is dead from the start.
         let initial: Vec<u32> = components
             .iter()
@@ -160,30 +214,50 @@ impl AncestorSpace {
         for &seed in seeds {
             let sym = match seed {
                 Seed::Initial => {
-                    scratch.clone_from(&initial);
+                    self.scratch.clone_from(&initial);
                     NONE
                 }
                 Seed::Step(a) => {
-                    step_tuple(&initial, a, components, &mut scratch);
+                    step_tuple(&initial, a, components, &mut self.scratch);
                     a.0
                 }
                 Seed::Dead => {
-                    scratch.clear();
-                    scratch.resize(components.len(), DEAD_COMPONENT);
+                    self.scratch.clear();
+                    self.scratch.resize(components.len(), DEAD_COMPONENT);
                     NONE
                 }
             };
-            let id = tuples.intern(&scratch);
-            if id as usize == pred.len() {
-                pred.push((NONE, sym));
+            let id = tuples.intern(&self.scratch);
+            if id as usize == self.pred.len() {
+                self.pred.push((NONE, sym));
             }
-            seed_ids.push(id);
+            self.seeds.push(id);
         }
+    }
+
+    /// Explores the product of `components` (each over `n_syms`
+    /// symbols) from `seeds`, expanding each state along the symbols
+    /// `follow` picks. Returns `None` as soon as more than `budget`
+    /// states exist.
+    pub fn explore(
+        n_syms: usize,
+        components: &[&Dfa],
+        seeds: &[Seed],
+        mut follow: Follow,
+        budget: usize,
+    ) -> Option<AncestorSpace> {
+        let (mut space, bound) = AncestorSpace::empty(n_syms, components);
+        // No more tuples exist than the product of component sizes
+        // (dead included), so small products get a small index.
+        let mut tuples = SubsetInterner::with_capacity(bound.min(budget).clamp(16, 1 << 12));
+        space.plant(&mut tuples, components, seeds);
+        let mut scratch: Vec<u32> = Vec::with_capacity(components.len());
+        let mut cur: Vec<u32> = Vec::with_capacity(components.len());
 
         // First-in-first-out: the interner's ids are the queue. `cur`
         // snapshots the tuple being expanded (the arena cannot be
         // borrowed across `intern`).
-        let mut table: Vec<u32> = Vec::new();
+        let table = &mut space.table;
         let mut syms: Vec<Sym> = Vec::new();
         let mut next = 0usize;
         while next < tuples.len() {
@@ -201,7 +275,8 @@ impl AncestorSpace {
                 }
                 Follow::By(pick) => {
                     syms.clear();
-                    pick(next as u32, relevant_of(&cur, components), &mut syms);
+                    let relevant = matching_components(&cur, components).next_back();
+                    pick(next as u32, relevant, &mut syms);
                     debug_assert!(syms.windows(2).all(|w| w[0] < w[1]), "follow is ascending");
                     let row = table.len();
                     table.resize(row + n_syms, NONE);
@@ -220,38 +295,83 @@ impl AncestorSpace {
         // Predecessors: states got their ids in the order the row-major
         // table first mentions them, so the first mention of each
         // unseeded state is the edge it was discovered along.
-        for (i, &t) in table.iter().enumerate() {
-            if t as usize == pred.len() {
-                pred.push(((i / n_syms) as u32, (i % n_syms) as u32));
+        for (i, &t) in space.table.iter().enumerate() {
+            if t as usize == space.pred.len() {
+                space.pred.push(((i / n_syms) as u32, (i % n_syms) as u32));
             }
         }
-
-        // Annotate each state with its matching set and relevant rule.
-        let mut relevant = Vec::with_capacity(tuples.len());
-        let mut match_off = Vec::with_capacity(tuples.len() + 1);
-        let mut match_data = Vec::new();
-        match_off.push(0u32);
+        // Annotations only now that the budget held: a space past it
+        // pays for interning alone.
         for s in 0..tuples.len() {
-            let lo = match_data.len();
-            for (i, (&q, d)) in tuples.get(s).iter().zip(components).enumerate() {
-                if q != DEAD_COMPONENT && d.is_final(q as usize) {
-                    match_data.push(i as u32);
-                }
-            }
-            match_off.push(match_data.len() as u32);
-            relevant.push(match_data[lo..].last().copied().unwrap_or(NONE));
+            space.notes.push(tuples.get(s), components);
         }
+        Some(space)
+    }
 
-        Some(AncestorSpace {
-            n_syms,
-            n_components: components.len(),
-            seeds: seed_ids,
-            table,
-            pred,
-            relevant,
-            match_off,
-            match_data,
-        })
+    /// An on-demand space over `components` (each over `n_syms`
+    /// symbols): `seeds` interned and annotated, no state expanded yet.
+    /// [`Self::step_on_demand`] grows it as walks reach new tuples.
+    pub fn on_demand(n_syms: usize, components: &[&Dfa], seeds: &[Seed]) -> AncestorSpace {
+        let (mut space, _) = AncestorSpace::empty(n_syms, components);
+        let mut tuples = SubsetInterner::with_capacity(16);
+        space.plant(&mut tuples, components, seeds);
+        space.table.resize(tuples.len() * n_syms, NONE);
+        for s in 0..tuples.len() {
+            space.notes.push(tuples.get(s), components);
+        }
+        space.tuples = Some(tuples);
+        space
+    }
+
+    /// The successor of `q` along `a` in an on-demand space over
+    /// `components` (the ones it was built with), expanding `q` along
+    /// `a` on the first call. A successor tuple seen for the first time
+    /// is interned and annotated while the space holds fewer than `cap`
+    /// states; past that, `None` — the caller steps
+    /// [`Self::tuple`]`(q)` itself, through [`step_component`].
+    #[inline]
+    pub fn step_on_demand(
+        &mut self,
+        components: &[&Dfa],
+        q: u32,
+        a: Sym,
+        cap: usize,
+    ) -> Option<u32> {
+        let at = q as usize * self.n_syms + a.index();
+        match self.table[at] {
+            NONE => self.expand(components, q, a, cap),
+            t => Some(t),
+        }
+    }
+
+    /// The table miss of [`Self::step_on_demand`].
+    #[cold]
+    fn expand(&mut self, components: &[&Dfa], q: u32, a: Sym, cap: usize) -> Option<u32> {
+        let tuples = self
+            .tuples
+            .as_mut()
+            .expect("only an on-demand space expands");
+        step_tuple(tuples.get(q as usize), a, components, &mut self.scratch);
+        let t = if tuples.len() < cap {
+            tuples.intern(&self.scratch)
+        } else {
+            tuples.find(&self.scratch)?
+        };
+        if t as usize == self.pred.len() {
+            self.pred.push((q, a.0));
+            self.table.resize(self.table.len() + self.n_syms, NONE);
+            self.notes.push(&self.scratch, components);
+        }
+        self.table[q as usize * self.n_syms + a.index()] = t;
+        Some(t)
+    }
+
+    /// The component tuple of state `q` of an on-demand space.
+    pub fn tuple(&self, q: u32) -> &[u32] {
+        self.tuples
+            .as_ref()
+            .expect("only an on-demand space keeps its tuples")
+            .get(q as usize)
     }
 
     /// Alphabet size.
@@ -264,9 +384,9 @@ impl AncestorSpace {
         self.n_components
     }
 
-    /// Number of states explored.
+    /// Number of states explored (on demand: interned so far).
     pub fn n_states(&self) -> usize {
-        self.relevant.len()
+        self.notes.relevant.len()
     }
 
     /// The state the `i`-th seed interned to.
@@ -292,21 +412,23 @@ impl AncestorSpace {
     /// The components in an accepting state at `q` (ascending indices).
     #[inline]
     pub fn matching(&self, q: u32) -> &[u32] {
-        let lo = self.match_off[q as usize] as usize;
-        let hi = self.match_off[q as usize + 1] as usize;
-        &self.match_data[lo..hi]
+        let lo = self.notes.match_off[q as usize] as usize;
+        let hi = self.notes.match_off[q as usize + 1] as usize;
+        &self.notes.match_data[lo..hi]
     }
 
     /// The largest matching component index at `q` — BonXai's relevant
     /// rule for the ancestor strings that reach `q`.
     #[inline]
     pub fn relevant(&self, q: u32) -> Option<u32> {
-        let r = self.relevant[q as usize];
+        let r = self.notes.relevant[q as usize];
         (r != NONE).then_some(r)
     }
 
-    /// The length-lexicographically least path to `q` from its seed: the
+    /// The path `q` was first discovered along, from its seed: the
     /// seed's symbol (for [`Seed::Step`]), then the followed symbols.
+    /// For an explored space it is the length-lexicographically least
+    /// such path; on demand, the first one a walk took.
     pub fn path(&self, mut q: u32) -> Vec<Sym> {
         let mut rev = Vec::new();
         loop {
@@ -344,9 +466,9 @@ impl AncestorSpace {
         (self.seeds.len()
             + self.table.len()
             + 2 * self.pred.len()
-            + self.relevant.len()
-            + self.match_off.len()
-            + self.match_data.len())
+            + self.notes.relevant.len()
+            + self.notes.match_off.len()
+            + self.notes.match_data.len())
             * size_of::<u32>()
     }
 }
@@ -472,6 +594,41 @@ mod tests {
             AncestorSpace::explore(2, &[&d], &[Seed::Initial, Seed::Dead], Follow::All, 0)
                 .is_none()
         );
+    }
+
+    #[test]
+    fn on_demand_interns_reached_tuples_up_to_its_cap() {
+        // Rule 0 matches a*; rule 1 matches exactly "a b".
+        let d0 = regex_to_dfa(&Regex::star(s(0)), 2);
+        let d1 = regex_to_dfa(&Regex::concat(vec![s(0), s(1)]), 2);
+        let comps = [&d0, &d1];
+        let mut space = AncestorSpace::on_demand(2, &comps, &[Seed::Initial, Seed::Dead]);
+        let (init, dead) = (space.seed(0), space.seed(1));
+        assert_eq!(space.n_states(), 2, "the seeds, nothing expanded");
+        assert_eq!(space.succ(init, Sym(0)), None);
+        assert_eq!(space.matching(init), &[0]);
+        // Within the cap: "a" is interned and annotated, and the edge
+        // is remembered.
+        let a = space.step_on_demand(&comps, init, Sym(0), 3).expect("room");
+        assert_eq!(space.n_states(), 3);
+        assert_eq!(space.succ(init, Sym(0)), Some(a));
+        assert_eq!(space.step_on_demand(&comps, init, Sym(0), 0), Some(a));
+        assert_eq!(space.matching(a), &[0]);
+        assert_eq!(space.path(a), vec![Sym(0)]);
+        // At the cap a new tuple is refused, but a known one resolves.
+        assert_eq!(space.step_on_demand(&comps, a, Sym(1), 3), None);
+        assert_eq!(space.step_on_demand(&comps, init, Sym(1), 3), Some(dead));
+        let ab: Vec<u32> = space
+            .tuple(a)
+            .iter()
+            .zip(&comps)
+            .map(|(&q, d)| step_component(d, q, Sym(1)))
+            .collect();
+        assert_eq!(matching_components(&ab, &comps).collect::<Vec<_>>(), [1]);
+        // Past the cap with room again, the same tuple gets a state.
+        let ab_state = space.step_on_demand(&comps, a, Sym(1), 4).expect("room");
+        assert_eq!(space.tuple(ab_state), ab.as_slice());
+        assert_eq!(space.relevant(ab_state), Some(1));
     }
 
     #[test]

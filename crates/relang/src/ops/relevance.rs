@@ -14,8 +14,8 @@
 //! The product is worst-case exponential in the number of rules
 //! (Theorem 9's lower bound applies to exactly this construction), so
 //! [`RelevanceProduct::build`] enforces a state budget and reports
-//! failure instead of blowing up; callers fall back to lock-step
-//! evaluation. In practice ancestor patterns are overwhelmingly k-suffix
+//! failure instead of blowing up; callers then build the product on
+//! demand (below). In practice ancestor patterns are overwhelmingly k-suffix
 //! (Section 4.4) and the reachable product stays tiny.
 //!
 //! The product itself is an [`AncestorSpace`] explored from the initial
@@ -23,6 +23,13 @@
 //! callers can park unmatchable subtrees on it. Components may be
 //! *partial* DFAs: a missing transition parks a component on the
 //! space's dead sentinel.
+//!
+//! [`RelevanceProduct::on_demand`] is the same product for schemas past
+//! the budget: it starts with the initial and dead states only and
+//! interns the states a walk reaches ([`RelevanceProduct::step_on_demand`]),
+//! as many as its caller's cap allows. A document reaches one state per
+//! distinct ancestor tuple it realizes, which is usually a handful even
+//! where the whole product is exponential.
 
 use crate::alphabet::Sym;
 use crate::dfa::Dfa;
@@ -49,8 +56,8 @@ impl RelevanceProduct {
     /// `n_syms` symbols, exploring at most `budget` product states.
     ///
     /// Returns `None` when the reachable product exceeds the budget
-    /// (Theorem 9 says this can genuinely happen) — callers should fall
-    /// back to lock-step evaluation.
+    /// (Theorem 9 says this can genuinely happen) — callers can then
+    /// intern the states a walk reaches ([`Self::on_demand`]).
     ///
     /// Every component must be over the same `n_syms`-symbol alphabet.
     pub fn build(n_syms: usize, components: &[Dfa], budget: usize) -> Option<RelevanceProduct> {
@@ -75,6 +82,39 @@ impl RelevanceProduct {
         })
     }
 
+    /// An on-demand product over `components` (each over `n_syms`
+    /// symbols): only the initial and dead states exist until
+    /// [`Self::step_on_demand`] interns the states walks reach.
+    pub fn on_demand(n_syms: usize, components: &[&Dfa]) -> RelevanceProduct {
+        let space = AncestorSpace::on_demand(n_syms, components, &[Seed::Initial, Seed::Dead]);
+        RelevanceProduct {
+            initial: space.seed(0),
+            dead: space.seed(1),
+            space,
+        }
+    }
+
+    /// `δ(q, a)` in an on-demand product over `components` (the ones it
+    /// was built with), interning the successor on its first visit while
+    /// the product holds fewer than `cap` states. `None`: the successor
+    /// is new and the product is full; its tuple is then `q`'s
+    /// ([`Self::tuple`]) stepped by [`crate::ops::ancestor::step_component`].
+    #[inline]
+    pub fn step_on_demand(
+        &mut self,
+        components: &[&Dfa],
+        q: ProductState,
+        a: Sym,
+        cap: usize,
+    ) -> Option<ProductState> {
+        self.space.step_on_demand(components, q, a, cap)
+    }
+
+    /// The component tuple of state `q` of an on-demand product.
+    pub fn tuple(&self, q: ProductState) -> &[u32] {
+        self.space.tuple(q)
+    }
+
     /// Alphabet size.
     pub fn n_syms(&self) -> usize {
         self.space.n_syms()
@@ -85,7 +125,8 @@ impl RelevanceProduct {
         self.space.n_components()
     }
 
-    /// Number of product states actually constructed.
+    /// Number of product states actually constructed (on demand:
+    /// interned so far).
     pub fn n_states(&self) -> usize {
         self.space.n_states()
     }
@@ -109,7 +150,8 @@ impl RelevanceProduct {
         q == self.dead
     }
 
-    /// `δ(q, a)` — total, a single table lookup.
+    /// `δ(q, a)` — a single table lookup, total on a built product (on
+    /// demand: `u32::MAX` until a walk first takes the edge).
     #[inline]
     pub fn step(&self, q: ProductState, a: Sym) -> ProductState {
         self.space.step(q, a)

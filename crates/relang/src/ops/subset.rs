@@ -65,6 +65,21 @@ impl SubsetInterner {
         &self.arena[self.offsets[id] as usize..self.offsets[id + 1] as usize]
     }
 
+    /// The id `key` was interned under, if it was.
+    pub fn find(&self, key: &[u32]) -> Option<u32> {
+        let mut slot = hash_u32_slice(key) as usize & self.mask;
+        loop {
+            let id = self.table[slot];
+            if id == EMPTY {
+                return None;
+            }
+            if self.get(id as usize) == key {
+                return Some(id);
+            }
+            slot = (slot + 1) & self.mask;
+        }
+    }
+
     /// Interns `key`, returning its dense id (existing or freshly
     /// assigned in insertion order).
     pub fn intern(&mut self, key: &[u32]) -> u32 {

@@ -8,10 +8,13 @@
 //! * the determinism checker agrees with the Glushkov automaton's
 //!   syntactic determinism;
 //! * the ancestor-space explorer records length-lexicographically least
-//!   paths and, following every symbol, is the reachable full product.
+//!   paths and, following every symbol, is the reachable full product;
+//! * an on-demand ancestor space, below its cap and past it, agrees
+//!   with the explored one on every word's matching set.
 
 use proptest::prelude::*;
 
+use relang::ops::ancestor::{matching_components, step_component};
 use relang::ops::{
     determinize, dfa_to_regex, full_product, minimize, regex_to_dfa, AncestorSpace, Follow, Seed,
 };
@@ -387,6 +390,68 @@ proptest! {
             for a in 0..N_SYMS {
                 prop_assert_eq!(space.succ(q, Sym(a as u32)).is_some(), mask[slot * N_SYMS + a]);
             }
+        }
+    }
+}
+
+/// The matching components after `word`, walked from the initial seed
+/// of an on-demand `space` that interns at most `cap` states; once a
+/// step finds the space full, the walk steps the tuple itself.
+fn on_demand_matching(
+    space: &mut AncestorSpace,
+    refs: &[&relang::Dfa],
+    word: &[Sym],
+    cap: usize,
+) -> Vec<u32> {
+    let mut q = space.seed(0);
+    let mut past_cap: Option<Vec<u32>> = None;
+    for &a in word {
+        match &mut past_cap {
+            Some(tuple) => {
+                for (c, d) in tuple.iter_mut().zip(refs) {
+                    *c = step_component(d, *c, a);
+                }
+            }
+            None => match space.step_on_demand(refs, q, a, cap) {
+                Some(t) => q = t,
+                None => {
+                    let tuple = space.tuple(q).iter().zip(refs);
+                    past_cap = Some(tuple.map(|(&c, d)| step_component(d, c, a)).collect());
+                }
+            },
+        }
+    }
+    match past_cap {
+        Some(tuple) => matching_components(&tuple, refs).collect(),
+        None => space.matching(q).to_vec(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn on_demand_space_agrees_with_explore_below_and_past_the_cap(
+        rs in prop::collection::vec(core_regex(), 1..5),
+        cap in 0usize..10,
+    ) {
+        let comps: Vec<relang::Dfa> = rs.iter().map(|r| regex_to_dfa(r, N_SYMS)).collect();
+        let refs: Vec<&relang::Dfa> = comps.iter().collect();
+        let seeds = [Seed::Initial, Seed::Dead];
+        let eager = AncestorSpace::explore(N_SYMS, &refs, &seeds, Follow::All, usize::MAX)
+            .expect("no budget");
+        for cap in [cap, usize::MAX] {
+            let mut lazy = AncestorSpace::on_demand(N_SYMS, &refs, &seeds);
+            for w in words_up_to(5) {
+                let q = w.iter().fold(eager.seed(0), |q, &a| eager.step(q, a));
+                let got = on_demand_matching(&mut lazy, &refs, &w, cap);
+                prop_assert_eq!(got.as_slice(), eager.matching(q), "word {:?}, cap {}", &w, cap);
+                prop_assert_eq!(got.last().copied(), eager.relevant(q), "word {:?}", &w);
+            }
+            // Only reachable tuples are interned, and no more than the
+            // cap beyond the seeds.
+            prop_assert!(lazy.n_states() <= eager.n_states());
+            prop_assert!(lazy.n_states() <= cap.max(seeds.len()));
         }
     }
 }

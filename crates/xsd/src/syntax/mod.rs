@@ -29,7 +29,7 @@ pub mod parse;
 
 pub use ast::{ComplexType, ElementDecl, Occurs, Particle, SchemaDoc, TypeRef};
 pub use emit::emit_xsd;
-pub use parse::{read_schema_doc, SyntaxError};
+pub use parse::{read_schema_doc, SyntaxError, MAX_NESTING};
 
 use crate::model::Xsd;
 

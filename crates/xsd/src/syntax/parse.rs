@@ -7,6 +7,26 @@ use crate::content::AttributeUse;
 use crate::simple_types::{Facets, SimpleType};
 use crate::syntax::ast::{ComplexType, ElementDecl, Occurs, Particle, SchemaDoc, TypeRef};
 
+/// Deepest nesting of particles and inline complex types accepted, one
+/// level per `xs:sequence`/`xs:choice`/`xs:all`/`xs:element` particle
+/// and per inline `xs:complexType` along a path. The readers recurse
+/// once per level, so unbounded nesting would overflow the stack. The
+/// cap matches the DTD parser's content-model cap; a BonXai translation
+/// nests at most three levels per particle, so every accepted schema
+/// translates within the BonXai parser's nesting cap.
+pub const MAX_NESTING: u32 = 512;
+
+/// The nesting level one below `depth`, or the error past
+/// [`MAX_NESTING`].
+fn nest(depth: u32) -> Result<u32, SyntaxError> {
+    if depth >= MAX_NESTING {
+        return Err(SyntaxError::new(format!(
+            "particles and inline types nested more than {MAX_NESTING} levels deep"
+        )));
+    }
+    Ok(depth + 1)
+}
+
 /// An error while reading XSD syntax.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SyntaxError {
@@ -45,10 +65,11 @@ pub fn read_schema_doc(doc: &Document) -> Result<SchemaDoc, SyntaxError> {
     };
     for child in doc.element_children(root) {
         match doc.local_name(child) {
-            Some("element") => out.roots.push(read_element(doc, child)?),
+            Some("element") => out.roots.push(read_element(doc, child, 0)?),
             Some("complexType") => {
                 let name = required_attr(doc, child, "name")?;
-                out.named_types.push((name, read_complex_type(doc, child)?));
+                out.named_types
+                    .push((name, read_complex_type(doc, child, 0)?));
             }
             Some("group") => {
                 let name = required_attr(doc, child, "name")?;
@@ -56,7 +77,7 @@ pub fn read_schema_doc(doc: &Document) -> Result<SchemaDoc, SyntaxError> {
                     .element_children(child)
                     .find(|&c| matches!(doc.local_name(c), Some("sequence" | "choice" | "all")))
                     .ok_or_else(|| SyntaxError::new(format!("group {name} has no model group")))?;
-                out.groups.push((name, read_particle(doc, inner)?));
+                out.groups.push((name, read_particle(doc, inner, 0)?));
             }
             Some("simpleType") => {
                 let name = required_attr(doc, child, "name")?;
@@ -93,7 +114,9 @@ fn required_attr(doc: &Document, node: NodeId, name: &str) -> Result<String, Syn
     })
 }
 
-fn read_element(doc: &Document, node: NodeId) -> Result<ElementDecl, SyntaxError> {
+/// Reads an element declaration `depth` levels deep (see
+/// [`MAX_NESTING`]); so do the readers below.
+fn read_element(doc: &Document, node: NodeId, depth: u32) -> Result<ElementDecl, SyntaxError> {
     let name = required_attr(doc, node, "name")?;
     let inline = doc
         .element_children(node)
@@ -114,7 +137,7 @@ fn read_element(doc: &Document, node: NodeId) -> Result<ElementDecl, SyntaxError
                 TypeRef::Named(strip_prefix(t).to_owned())
             }
         }
-        (None, Some(ct), None) => TypeRef::Inline(Box::new(read_complex_type(doc, ct)?)),
+        (None, Some(ct), None) => TypeRef::Inline(Box::new(read_complex_type(doc, ct, depth)?)),
         (None, None, Some(st)) => {
             let (base, facets) = read_simple_type(doc, st)?;
             TypeRef::Simple(base, facets)
@@ -124,7 +147,8 @@ fn read_element(doc: &Document, node: NodeId) -> Result<ElementDecl, SyntaxError
     Ok(ElementDecl { name, type_ref })
 }
 
-fn read_complex_type(doc: &Document, node: NodeId) -> Result<ComplexType, SyntaxError> {
+fn read_complex_type(doc: &Document, node: NodeId, depth: u32) -> Result<ComplexType, SyntaxError> {
+    let depth = nest(depth)?;
     let mut ct = ComplexType {
         mixed: doc.attribute(node, "mixed") == Some("true"),
         ..ComplexType::default()
@@ -135,7 +159,7 @@ fn read_complex_type(doc: &Document, node: NodeId) -> Result<ComplexType, Syntax
                 if ct.particle.is_some() {
                     return Err(SyntaxError::new("complexType has multiple model groups"));
                 }
-                ct.particle = Some(read_particle(doc, child)?);
+                ct.particle = Some(read_particle(doc, child, depth)?);
             }
             Some("group") => {
                 if ct.particle.is_some() {
@@ -152,73 +176,7 @@ fn read_complex_type(doc: &Document, node: NodeId) -> Result<ComplexType, Syntax
                 let name = required_attr(doc, child, "ref")?;
                 ct.attr_group_refs.push(strip_prefix(&name).to_owned());
             }
-            Some("simpleContent") => {
-                // <xs:simpleContent><xs:extension base="xs:…"> attrs …, or
-                // <xs:restriction base="xs:…"> facets + attrs (the form the
-                // emitter uses when facets are present).
-                let ext = doc
-                    .element_children(child)
-                    .find(|&c| matches!(doc.local_name(c), Some("extension" | "restriction")))
-                    .ok_or_else(|| SyntaxError::new("simpleContent without extension"))?;
-                let base = required_attr(doc, ext, "base")?;
-                if !is_xs_qname(&base) {
-                    return Err(SyntaxError::new(format!(
-                        "simpleContent base {base:?} must be an xs: built-in"
-                    )));
-                }
-                ct.mixed = false;
-                ct.particle = None;
-                let mut facets = Facets::default();
-                for a in doc.element_children(ext) {
-                    match doc.local_name(a) {
-                        Some("attribute") => ct.attributes.push(read_attribute(doc, a)?),
-                        Some("attributeGroup") => {
-                            let name = required_attr(doc, a, "ref")?;
-                            ct.attr_group_refs.push(strip_prefix(&name).to_owned());
-                        }
-                        Some("minInclusive") => {
-                            facets.min_inclusive = Some(required_attr(doc, a, "value")?)
-                        }
-                        Some("maxInclusive") => {
-                            facets.max_inclusive = Some(required_attr(doc, a, "value")?)
-                        }
-                        Some("minLength") => {
-                            let v = required_attr(doc, a, "value")?;
-                            facets.min_length =
-                                Some(v.parse().map_err(|_| {
-                                    SyntaxError::new(format!("bad minLength {v:?}"))
-                                })?);
-                        }
-                        Some("maxLength") => {
-                            let v = required_attr(doc, a, "value")?;
-                            facets.max_length =
-                                Some(v.parse().map_err(|_| {
-                                    SyntaxError::new(format!("bad maxLength {v:?}"))
-                                })?);
-                        }
-                        Some("enumeration") => {
-                            facets.enumeration.push(required_attr(doc, a, "value")?)
-                        }
-                        Some("annotation") => {}
-                        // Mirror read_simple_type: an unrecognized facet
-                        // (xs:pattern, xs:whiteSpace, xs:fractionDigits, …)
-                        // must fail loudly. Silently dropping it would
-                        // accept the schema while enforcing strictly less
-                        // than it declares.
-                        Some(other) => {
-                            return Err(SyntaxError::new(format!(
-                                "unsupported facet xs:{other} in simpleContent"
-                            )))
-                        }
-                        None => {}
-                    }
-                }
-                let base = SimpleType::from_qname(&base);
-                facets.check(base).map_err(|e| {
-                    SyntaxError::new(format!("invalid restriction of {}: {e}", base.qname()))
-                })?;
-                ct.simple_base = Some((base, facets));
-            }
+            Some("simpleContent") => read_simple_content(doc, child, &mut ct)?,
             Some("annotation") => {}
             Some(other) => {
                 return Err(SyntaxError::new(format!(
@@ -231,11 +189,82 @@ fn read_complex_type(doc: &Document, node: NodeId) -> Result<ComplexType, Syntax
     Ok(ct)
 }
 
-fn read_particle(doc: &Document, node: NodeId) -> Result<Particle, SyntaxError> {
+/// Reads an `<xs:simpleContent>` child of a complex type into `ct`.
+/// Kept out of [`read_complex_type`], which recurses per nesting level,
+/// so that its frame stays small.
+fn read_simple_content(
+    doc: &Document,
+    child: NodeId,
+    ct: &mut ComplexType,
+) -> Result<(), SyntaxError> {
+    // <xs:simpleContent><xs:extension base="xs:…"> attrs …, or
+    // <xs:restriction base="xs:…"> facets + attrs (the form the
+    // emitter uses when facets are present).
+    let ext = doc
+        .element_children(child)
+        .find(|&c| matches!(doc.local_name(c), Some("extension" | "restriction")))
+        .ok_or_else(|| SyntaxError::new("simpleContent without extension"))?;
+    let base = required_attr(doc, ext, "base")?;
+    if !is_xs_qname(&base) {
+        return Err(SyntaxError::new(format!(
+            "simpleContent base {base:?} must be an xs: built-in"
+        )));
+    }
+    ct.mixed = false;
+    ct.particle = None;
+    let mut facets = Facets::default();
+    for a in doc.element_children(ext) {
+        match doc.local_name(a) {
+            Some("attribute") => ct.attributes.push(read_attribute(doc, a)?),
+            Some("attributeGroup") => {
+                let name = required_attr(doc, a, "ref")?;
+                ct.attr_group_refs.push(strip_prefix(&name).to_owned());
+            }
+            Some("minInclusive") => facets.min_inclusive = Some(required_attr(doc, a, "value")?),
+            Some("maxInclusive") => facets.max_inclusive = Some(required_attr(doc, a, "value")?),
+            Some("minLength") => {
+                let v = required_attr(doc, a, "value")?;
+                facets.min_length = Some(
+                    v.parse()
+                        .map_err(|_| SyntaxError::new(format!("bad minLength {v:?}")))?,
+                );
+            }
+            Some("maxLength") => {
+                let v = required_attr(doc, a, "value")?;
+                facets.max_length = Some(
+                    v.parse()
+                        .map_err(|_| SyntaxError::new(format!("bad maxLength {v:?}")))?,
+                );
+            }
+            Some("enumeration") => facets.enumeration.push(required_attr(doc, a, "value")?),
+            Some("annotation") => {}
+            // Mirror read_simple_type: an unrecognized facet
+            // (xs:pattern, xs:whiteSpace, xs:fractionDigits, …)
+            // must fail loudly. Silently dropping it would
+            // accept the schema while enforcing strictly less
+            // than it declares.
+            Some(other) => {
+                return Err(SyntaxError::new(format!(
+                    "unsupported facet xs:{other} in simpleContent"
+                )))
+            }
+            None => {}
+        }
+    }
+    let base = SimpleType::from_qname(&base);
+    facets
+        .check(base)
+        .map_err(|e| SyntaxError::new(format!("invalid restriction of {}: {e}", base.qname())))?;
+    ct.simple_base = Some((base, facets));
+    Ok(())
+}
+
+fn read_particle(doc: &Document, node: NodeId, depth: u32) -> Result<Particle, SyntaxError> {
+    let depth = nest(depth)?;
     let occurs = read_occurs(doc, node)?;
     match doc.local_name(node) {
         Some("element") => Ok(Particle::Element {
-            decl: read_element(doc, node)?,
+            decl: read_element(doc, node, depth)?,
             occurs,
         }),
         Some("sequence") | Some("choice") => {
@@ -250,7 +279,7 @@ fn read_particle(doc: &Document, node: NodeId) -> Result<Particle, SyntaxError> 
                             occurs: read_occurs(doc, child)?,
                         });
                     }
-                    _ => items.push(read_particle(doc, child)?),
+                    _ => items.push(read_particle(doc, child, depth)?),
                 }
             }
             if doc.local_name(node) == Some("sequence") {
@@ -273,7 +302,7 @@ fn read_particle(doc: &Document, node: NodeId) -> Result<Particle, SyntaxError> 
                         "xs:all may only contain element declarations",
                     ));
                 }
-                items.push(read_particle(doc, child)?);
+                items.push(read_particle(doc, child, depth)?);
             }
             Ok(Particle::All { items })
         }

@@ -30,7 +30,9 @@ BONXAI_NO_SIMD=1 cargo test -q -p bonxai --test reader_differential
 cargo run --release -p bonxai-bench --bin exp_validation -- --parse-only
 
 # Differential conformance: the checked-in corpus through the oracle
-# and all four fast paths under every lexer engine and byte source,
+# and all six fast paths (tree/stream × compiled product, lock-step,
+# on-demand product within a small budget) under every lexer engine
+# and byte source,
 # then a bounded fixed-seed fuzz smoke over the validation stack and
 # the DTD parser. Any divergence or panic fails the gate. Run twice:
 # once with the detected engine and once with the structural index

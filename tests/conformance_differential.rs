@@ -1,6 +1,7 @@
 //! Differential conformance: every document pair in `data/conformance/`
-//! runs through the oracle and all four fast paths (tree/stream ×
-//! product/lock-step), under every available lexer engine and both byte
+//! runs through the oracle and all six fast paths (tree/stream ×
+//! compiled product, lock-step, and a product interned on demand within
+//! a small budget), under every available lexer engine and both byte
 //! sources. Any verdict, violation-list, or match-map disagreement
 //! fails the test — divergence is a bug, never tolerance.
 //!

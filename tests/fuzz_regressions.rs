@@ -137,26 +137,107 @@ fn schema_nesting_past_the_cap_is_an_error() {
     }
 }
 
-/// At the cap itself every way of nesting still parses and validates.
-/// An unoptimised build needs several times the stack of a release
-/// build per level, so this runs on a thread with room for it.
-#[test]
-fn schema_nesting_at_the_cap_parses_and_validates() {
+/// Runs `f` on a thread with a 64 MiB stack. Readers that recurse per
+/// nesting level need several times the stack per level in an
+/// unoptimised build that a release build does, so tests at a nesting
+/// cap run here.
+fn on_big_stack(f: impl FnOnce() + Send) {
     std::thread::scope(|s| {
         std::thread::Builder::new()
             .stack_size(64 << 20)
-            .spawn_scoped(s, || {
-                let doc = bonxai::xmltree::parse_document("<a><b/></a>").expect("parses");
-                for (what, src, _, _) in nested_schemas(MAX_NESTING as usize) {
-                    let schema =
-                        BonxaiSchema::parse(&src).unwrap_or_else(|e| panic!("{what}: {e}"));
-                    let report = schema.validate(&doc);
-                    assert!(report.is_valid(), "{what}: {:?}", report.violations());
-                }
-            })
+            .spawn_scoped(s, f)
             .expect("spawns")
             .join()
             .unwrap_or_else(|e| std::panic::resume_unwind(e));
+    });
+}
+
+/// At the cap itself every way of nesting still parses and validates.
+#[test]
+fn schema_nesting_at_the_cap_parses_and_validates() {
+    on_big_stack(|| {
+        let doc = bonxai::xmltree::parse_document("<a><b/></a>").expect("parses");
+        for (what, src, _, _) in nested_schemas(MAX_NESTING as usize) {
+            let schema = BonxaiSchema::parse(&src).unwrap_or_else(|e| panic!("{what}: {e}"));
+            let report = schema.validate(&doc);
+            assert!(report.is_valid(), "{what}: {:?}", report.violations());
+        }
+    });
+}
+
+/// An XSD whose particles and inline types nest exactly `depth` levels
+/// (`xsd::syntax::MAX_NESTING` counts one per particle and one per
+/// inline `xs:complexType`), nested one of two ways: `xs:sequence`
+/// inside `xs:sequence` under one element, or inline element
+/// declarations inside each other.
+fn nested_xsd(inline: bool, depth: usize) -> String {
+    assert!(depth >= 3);
+    let mut open = String::new();
+    let mut close = Vec::new();
+    for i in 1..=depth {
+        let (tag, attrs) = match (inline, i % 3) {
+            (_, _) if i == 1 => ("complexType", String::new()),
+            (false, _) if i < depth => ("sequence", String::new()),
+            (false, _) => ("element", " name=\"x\"".to_owned()),
+            (true, 1) => ("complexType", String::new()),
+            (true, 2) => ("sequence", String::new()),
+            (true, _) => ("element", format!(" name=\"e{i}\"")),
+        };
+        open.push_str(&format!("<xs:{tag}{attrs}>"));
+        close.push(format!("</xs:{tag}>"));
+    }
+    close.reverse();
+    format!(
+        "<xs:schema xmlns:xs=\"http://www.w3.org/2001/XMLSchema\">\n\
+         <xs:element name=\"e0\">{open}{}</xs:element>\n</xs:schema>\n",
+        close.concat()
+    )
+}
+
+/// XSD particles and inline types nested 8,000 deep overflowed the
+/// stack of `check`, `from-xsd` and `lint` (the readers recursed once
+/// per level). Past the cap they are a syntax error; reading up to it
+/// still recurses, hence the big stack.
+#[test]
+fn xsd_nesting_past_the_cap_is_an_error() {
+    let cap = bonxai::xsd::syntax::MAX_NESTING as usize;
+    on_big_stack(|| {
+        for depth in [cap + 1, 8_000, 100_000] {
+            for inline in [false, true] {
+                let err =
+                    bonxai::xsd::parse_xsd(&nested_xsd(inline, depth)).expect_err("past the cap");
+                assert!(
+                    err.message.contains("nested more than 512 levels deep"),
+                    "inline {inline}, depth {depth}: {err}"
+                );
+            }
+        }
+    });
+}
+
+/// At the cap both shapes read, translate to BonXai, and the printed
+/// translation reparses and passes the structural checks (`bonxai
+/// check`).
+#[test]
+fn xsd_nesting_at_the_cap_translates_and_reparses() {
+    use bonxai::core::lint::{lint_source, LintOptions, Severity};
+    use bonxai::core::pipeline::xsd_to_bonxai;
+    let cap = bonxai::xsd::syntax::MAX_NESTING as usize;
+    on_big_stack(|| {
+        for inline in [false, true] {
+            let x = bonxai::xsd::parse_xsd(&nested_xsd(inline, cap))
+                .unwrap_or_else(|e| panic!("inline {inline}: {e}"));
+            let (schema, _) = xsd_to_bonxai(&x, &Default::default());
+            let src = schema.to_source();
+            let opts = LintOptions {
+                structural_only: true,
+                ..LintOptions::default()
+            };
+            let report =
+                lint_source(&src, &opts).unwrap_or_else(|e| panic!("inline {inline}: {e}"));
+            assert_eq!(report.count(Severity::Error), 0, "inline {inline}");
+            BonxaiSchema::parse(&src).unwrap_or_else(|e| panic!("inline {inline}: {e}"));
+        }
     });
 }
 

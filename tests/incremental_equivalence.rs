@@ -5,9 +5,10 @@
 //! derivative-based oracle — on random schemas, random documents, and
 //! random edit scripts (attribute set/remove, text, child
 //! insert/remove, subtree and root replacement), including schemas
-//! whose relevance product overflows the budget (the lock-step
-//! fallback degrades to stored full runs) and edits that flip validity
-//! in both directions. Edited arenas are where node ids leave document
+//! compiled with budgets too small for their relevance product (the
+//! state then keeps an on-demand product, and every edit but a root
+//! replacement must still replay incrementally) and edits that flip
+//! validity in both directions. Edited arenas are where node ids leave document
 //! order, so each edited tree is also validated with match recording
 //! under both ancestor engines and compared with the oracle.
 
@@ -43,6 +44,13 @@ fn check_script(
         random_edit(bxsd, doc, rng);
         let edits: Vec<(u64, Edit)> = doc.edit_log().unwrap().since(from).to_vec();
         let got = compiled.revalidate(doc, &mut state, &edits);
+        let root_replaced = edits.iter().any(|&(_, e)| e == Edit::RootReplaced);
+        prop_assert_eq!(
+            state.is_incremental(),
+            !root_replaced,
+            "only a root replacement reruns the whole document (edit {})",
+            k
+        );
         from = state.generation();
         let fresh = compiled.validate(doc);
         prop_assert_eq!(
@@ -128,14 +136,19 @@ proptest! {
             // Schema admits no finite document — nothing to edit.
             return Ok(());
         };
-        // A budget of 1 can never hold the product, so `tiny_budget`
-        // exercises revalidate's lock-step full-run fallback.
-        let compiled = if tiny_budget {
-            CompiledBxsd::with_budget(&bxsd, 1)
+        // A budget of 1 can never hold the product, and one of 4 rarely
+        // does, so `tiny_budget` exercises the on-demand product of the
+        // persistent state, starting from the same document and edits.
+        if tiny_budget {
+            for budget in [1, 4] {
+                let compiled = CompiledBxsd::with_budget(&bxsd, budget);
+                let mut doc = doc.clone();
+                let mut rng = rng.clone();
+                check_script(&bxsd, &compiled, &mut doc, n_edits, &mut rng)?;
+            }
         } else {
-            CompiledBxsd::new(&bxsd)
-        };
-        check_script(&bxsd, &compiled, &mut doc, n_edits, &mut rng)?;
+            check_script(&bxsd, &CompiledBxsd::new(&bxsd), &mut doc, n_edits, &mut rng)?;
+        }
     }
 }
 

@@ -3,18 +3,20 @@
 //! violations in the same order, same per-node matching sets, same
 //! relevant-rule assignments — on random schemas and random (possibly
 //! mutated) documents, including schemas compiled with a budget too
-//! small for the product (the Theorem 9 fallback path).
+//! small for the product (the walk then interns states on demand and
+//! steps tuples past them), and Theorem 9's B_n on a tree that reaches
+//! more distinct ancestor tuples than such a budget.
 
 use bonxai_core::bxsd::Bxsd;
 use bonxai_core::{CompiledBxsd, ValidateOptions};
 use bonxai_gen::{
-    mutate_document, random_regular_bxsd, random_suffix_bxsd, sample_document, DocConfig,
-    SchemaConfig,
+    mutate_document, random_regular_bxsd, random_suffix_bxsd, sample_document, theorem9_bn,
+    DocConfig, SchemaConfig,
 };
 use proptest::prelude::*;
 use rand::prelude::*;
 use relang::Sym;
-use xmltree::Document;
+use xmltree::{Document, NodeId, XmlReader};
 
 const RECORD: ValidateOptions = ValidateOptions {
     record_matches: true,
@@ -114,5 +116,90 @@ proptest! {
             doc = mutate_document(&doc, &mut rng);
             check_equivalence(&bxsd, &doc)?;
         }
+    }
+}
+
+/// Appends, below `at`, every name of `names` as a child, and below each
+/// of those the same, `depth` levels down; the bottom nodes get an `a`.
+fn grow(doc: &mut Document, at: NodeId, names: &[&str], depth: usize) {
+    if depth == 0 {
+        doc.add_element(at, "a");
+        return;
+    }
+    for name in names {
+        let child = doc.add_element(at, name);
+        grow(doc, child, names, depth - 1);
+    }
+}
+
+/// B_4 on a complete tree over its `a_i` names, with more distinct
+/// ancestor tuples than a budget of 8 holds: a compile at that budget
+/// interns a few states on demand and steps tuples past them. Tree,
+/// stream and incremental reports, violations and matches, must equal
+/// the full product's and the oracle's.
+#[test]
+fn on_demand_product_past_a_small_budget_matches_the_full_product() {
+    const BUDGET: usize = 8;
+    let bxsd = theorem9_bn(4);
+    let full = CompiledBxsd::new(&bxsd);
+    assert!(
+        full.product_states().is_some(),
+        "B_4 fits the default budget"
+    );
+    let small = CompiledBxsd::with_budget(&bxsd, BUDGET);
+    assert_eq!(small.product_states(), None);
+    let names = ["a1", "a2", "a3", "a4"];
+    let mut doc = Document::new("a1");
+    let root = doc.root();
+    grow(&mut doc, root, &names, 3);
+
+    let want = full.validate_with(&doc, RECORD);
+    let oracle = bonxai_core::oracle::validate_with(&bxsd, &doc, true);
+    assert_eq!(want.violations, oracle.violations);
+    assert_eq!(want.matches, oracle.matches);
+    // Distinct matching sets are at most as many as distinct tuples.
+    let sets: std::collections::BTreeSet<&Vec<usize>> =
+        want.matches.values().map(|m| &m.matching).collect();
+    assert!(sets.len() > BUDGET, "{} matching sets", sets.len());
+
+    let input = xmltree::to_string(&doc);
+    for opts in [RECORD, LOCKSTEP] {
+        let tree = small.validate_with(&doc, opts);
+        assert_eq!(tree.violations, want.violations, "tree {opts:?}");
+        assert_eq!(tree.matches, want.matches, "tree {opts:?}");
+        let stream = small
+            .validate_stream_with(&mut XmlReader::from_str(&input), opts)
+            .expect("well-formed");
+        assert_eq!(stream.violations, want.violations, "stream {opts:?}");
+        assert_eq!(stream.matches, want.matches, "stream {opts:?}");
+    }
+
+    // Edits replayed on the small compile's persistent state.
+    doc.enable_edit_log();
+    let mut state = small.validate_persistent(&doc);
+    assert_eq!(state.report().violations, want.violations);
+    let leaf = doc.iter_elements().last().expect("elements");
+    let inner = doc.iter_elements().nth(2).expect("elements");
+    let edits: [&dyn Fn(&mut Document); 3] = [
+        &|d| {
+            d.add_element(leaf, "b4");
+        },
+        &|d| {
+            let first = d.children(inner)[0];
+            d.remove_child(inner, first);
+        },
+        &|d| {
+            d.insert_child(inner, 0, "a");
+        },
+    ];
+    for (k, edit) in edits.iter().enumerate() {
+        let from = state.generation();
+        edit(&mut doc);
+        let log: Vec<_> = doc.edit_log().expect("logging").since(from).to_vec();
+        let got = small.revalidate(&doc, &mut state, &log);
+        assert!(state.is_incremental(), "edit {k}");
+        assert_eq!(got.violations, full.validate(&doc).violations, "edit {k}");
+        let oracle = bonxai_core::oracle::validate(&bxsd, &doc);
+        assert_eq!(got.violations, oracle.violations, "edit {k}");
     }
 }
